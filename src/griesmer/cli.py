@@ -94,15 +94,10 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
 def _add_search_opts(sub: argparse.ArgumentParser, default_limit: int | None) -> None:
     sub.add_argument("--node-limit", type=int, default=default_limit, metavar="N")
     sub.add_argument("--no-symmetry", action="store_true")
-    sub.add_argument("--nondeterministic", action="store_true")
 
 
 def _opts_from(args: argparse.Namespace) -> SearchOptions:
-    return SearchOptions(
-        node_limit=args.node_limit,
-        symmetry=not args.no_symmetry,
-        deterministic=not args.nondeterministic,
-    )
+    return SearchOptions(node_limit=args.node_limit, symmetry=not args.no_symmetry)
 
 
 def _build_parser() -> _Parser:

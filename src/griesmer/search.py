@@ -72,13 +72,11 @@ class SearchOptions:
 
     node_limit caps the number of attempted symbol placements; symmetry
     toggles the canonical-form reductions on the first nonzero word's
-    tail; deterministic pins a sequential exploration order (the engine
-    is sequential either way, so outcomes are reproducible regardless).
+    tail.
     """
 
     node_limit: int | None = None
     symmetry: bool = True
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.node_limit is not None and self.node_limit < 1:
@@ -110,21 +108,13 @@ class SearchOutcome:
         return out
 
 
-def _prefix_distances(prefixes: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    return [
-        [sum(1 for x, y in zip(prefixes[i], prefixes[j]) if x != y) for j in range(i)]
-        for i in range(len(prefixes))
-    ]
-
-
 def _backtrack(
     prefixes: Sequence[tuple[int, ...]],
     q: int,
     m: int,
     d: int,
     node_limit: int | None,
-    sort_first_tail: bool,
-    unit_first_tail: bool,
+    symmetry: bool,
 ) -> tuple[int, list[list[int]] | None, int]:
     """Column-by-column DFS over tail assignments; returns (status, tails, nodes).
 
@@ -135,23 +125,27 @@ def _backtrack(
     open columns can no longer close the deficit, and the bound is exact
     because each open column contributes at most 1.
 
-    Symmetry reductions, both restricted to the first nonzero word's tail:
-    sort_first_tail forces it to be nonincreasing (tail columns of all
-    words may be permuted simultaneously without changing any distance);
-    unit_first_tail forces its nonzero symbols to 1 (any alphabet
-    bijection fixing 0 may be applied per tail column).  Each rule maps
-    an arbitrary solution to one inside the reduced space, so feasibility
-    is unchanged.
+    The prefix distance table is built row by row, and the search stops
+    with a 0-node refutation at the first pair whose prefix distance plus
+    m is below d: no tails can separate that pair.
+
+    symmetry applies two reductions to the first nonzero word's tail: it
+    must be nonincreasing (tail columns of all words may be permuted
+    simultaneously without changing any distance), and its nonzero
+    symbols are forced to 1 (any alphabet bijection fixing 0 may be
+    applied per tail column).  Relabeling every nonzero symbol of that
+    tail to 1 and then sorting the columns maps an arbitrary solution to
+    one inside the reduced space, so feasibility is unchanged.
 
     Every attempted symbol placement counts as one node, pruned or not.
     """
     r = len(prefixes)
-    pd = _prefix_distances(prefixes)
+    pd: list[list[int]] = []
     for i in range(r):
-        for j in range(i):
-            if pd[i][j] + m < d:
-                # this pair can never reach d: a complete refutation
-                return _INFEASIBLE, None, 0
+        row = [sum(1 for x, y in zip(prefixes[i], prefixes[j]) if x != y) for j in range(i)]
+        if any(dist + m < d for dist in row):
+            return _INFEASIBLE, None, 0
+        pd.append(row)
     tails: list[list[int]] = [[0] * m for _ in range(r)]
     if r <= 1 or m == 0:
         return _FEASIBLE, tails, 0
@@ -173,10 +167,10 @@ def _backtrack(
                 if prev != tails[j][c]:
                     tds_i[j] -= 1
         hi = q - 1
-        if i == 1:
-            if unit_first_tail and hi > 1:
+        if i == 1 and symmetry:
+            if hi > 1:
                 hi = 1
-            if sort_first_tail and c > 0 and tails_i[c - 1] < hi:
+            if c > 0 and tails_i[c - 1] < hi:
                 hi = tails_i[c - 1]
         remaining = m - c - 1
         s = prev + 1
@@ -238,25 +232,35 @@ def _verify_witness(
         raise RuntimeError("search produced a non-systematic witness")
 
 
+def _outcome(
+    prefixes: Sequence[tuple[int, ...]],
+    q: int,
+    k: int,
+    m: int,
+    d: int,
+    opts: SearchOptions,
+    systematic: bool,
+) -> SearchOutcome:
+    """Run the engine and turn its status into an outcome, re-checking any witness."""
+    status, tails, nodes = _backtrack(prefixes, q, m, d, opts.node_limit, opts.symmetry)
+    if status == _FEASIBLE:
+        assert tails is not None
+        witness = _assemble_witness(q, prefixes, tails)
+        _verify_witness(witness, prefixes, k, d, systematic)
+        return SearchOutcome(feasible=True, witness=witness, nodes_explored=nodes, exhausted=True)
+    return SearchOutcome(
+        feasible=False, witness=None, nodes_explored=nodes, exhausted=status == _INFEASIBLE
+    )
+
+
 def tail_search(ws: WitnessSet, m: int, d: int, opts: SearchOptions | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d."""
-    opts = opts or SearchOptions()
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
     prefixes = [w.symbols for w in ws.prefixes]
-    status, tails, nodes = _backtrack(
-        prefixes, ws.q, m, d, opts.node_limit, opts.symmetry, opts.symmetry
-    )
-    if status == _FEASIBLE:
-        assert tails is not None
-        witness = _assemble_witness(ws.q, prefixes, tails)
-        _verify_witness(witness, prefixes, ws.k, d, systematic=False)
-        return SearchOutcome(feasible=True, witness=witness, nodes_explored=nodes, exhausted=True)
-    if status == _INFEASIBLE:
-        return SearchOutcome(feasible=False, witness=None, nodes_explored=nodes, exhausted=True)
-    return SearchOutcome(feasible=False, witness=None, nodes_explored=nodes, exhausted=False)
+    return _outcome(prefixes, ws.q, ws.k, m, d, opts or SearchOptions(), systematic=False)
 
 
 def full_search(params: CodeParams, opts: SearchOptions | None = None) -> SearchOutcome:
@@ -264,7 +268,6 @@ def full_search(params: CodeParams, opts: SearchOptions | None = None) -> Search
 
     Runs the tail engine with all q**k prefixes; guarded to small q**k.
     """
-    opts = opts or SearchOptions()
     size = params.q**params.k
     if size > FULL_SEARCH_PREFIX_LIMIT:
         raise GuardLimitError(
@@ -273,17 +276,9 @@ def full_search(params: CodeParams, opts: SearchOptions | None = None) -> Search
         )
     prefixes = list(product(range(params.q), repeat=params.k))
     m = params.n - params.k
-    status, tails, nodes = _backtrack(
-        prefixes, params.q, m, params.d, opts.node_limit, opts.symmetry, opts.symmetry
+    return _outcome(
+        prefixes, params.q, params.k, m, params.d, opts or SearchOptions(), systematic=True
     )
-    if status == _FEASIBLE:
-        assert tails is not None
-        witness = _assemble_witness(params.q, prefixes, tails)
-        _verify_witness(witness, prefixes, params.k, params.d, systematic=True)
-        return SearchOutcome(feasible=True, witness=witness, nodes_explored=nodes, exhausted=True)
-    if status == _INFEASIBLE:
-        return SearchOutcome(feasible=False, witness=None, nodes_explored=nodes, exhausted=True)
-    return SearchOutcome(feasible=False, witness=None, nodes_explored=nodes, exhausted=False)
 
 
 def naive_oracle(ws: WitnessSet, m: int, d: int) -> bool:

@@ -2,37 +2,31 @@
 
 Each theorem family asserts that for its (q, k, d) range no systematic
 code exists of length griesmer(q, k, d) - 1.  A case is confirmed by an
-exhausted infeasible search at that critical length: either a full
-search over all q**k prefixes, or a tail search over a small witness set
-of prefixes whose mutual constraints are already unsatisfiable (which
-refutes every superset, hence every full code containing them).
+exhausted infeasible tail search at that critical length over a small
+witness set of prefixes whose mutual constraints are already
+unsatisfiable.  Every systematic code contains all q**k prefixes, so
+refuting any subset of them refutes every code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .bounds import griesmer_sum
 from .core import CodeParams, Word
-from .search import (
-    FULL_SEARCH_PREFIX_LIMIT,
-    SearchOptions,
-    SearchOutcome,
-    WitnessSet,
-    full_search,
-    tail_search,
-)
+from .search import FULL_SEARCH_PREFIX_LIMIT, SearchOptions, SearchOutcome, WitnessSet, tail_search
+# not called here; re-exported because the benchmark tracer (bench/spans.py) wraps it
+from .search import full_search  # noqa: F401
 
 THEOREM_IDS = ("q_ge_d", "d12", "d34", "d56_k2", "d56_k3")
 
 # prefix patterns, as trailing digits of length-k words padded with zeros
+_PIGEONHOLE_PAIR = ((), (1,))
 _D34_PATTERNS_Q2 = ((), (1,), (1, 0))
 _D34_PATTERNS_Q3 = ((), (1,), (2,), (1, 0))
 _D56_K2_PATTERNS = ((), (1,), (1, 0))
 _D56_K3_PATTERNS = ((), (1,), (1, 0), (1, 1), (1, 0, 1))
-_D56_K3_COMPANION = ((), (1,), (1, 0), (1, 0, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -40,22 +34,18 @@ class TheoremCase:
     """One (q, k, d) instance of a theorem family, at its critical length.
 
     params.n is griesmer(q, k, d) - 1 and critical_m = params.n - k, the
-    tail length a counterexample code would need.  mode selects the
-    search flavor: "full" exhausts all q**k prefixes, "tail" refutes the
-    case's witness prefixes alone.
+    tail length a counterexample code would need.  witness holds the
+    prefixes whose tail search at critical_m refutes the case.
     """
 
     theorem_id: str
     params: CodeParams
     witness: WitnessSet
     critical_m: int
-    mode: str
 
     def __post_init__(self) -> None:
         if self.theorem_id not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {self.theorem_id!r}")
-        if self.mode not in ("tail", "full"):
-            raise ValueError(f"mode must be 'tail' or 'full', got {self.mode!r}")
         if self.critical_m != self.params.n - self.params.k:
             raise ValueError(
                 f"critical_m {self.critical_m} does not match n - k = "
@@ -104,19 +94,18 @@ def _embedded(q: int, k: int, patterns: tuple[tuple[int, ...], ...]) -> WitnessS
     return WitnessSet(q=q, k=k, prefixes=tuple(words))
 
 
-def _all_prefixes(q: int, k: int) -> WitnessSet:
-    size = q**k
-    if size > FULL_SEARCH_PREFIX_LIMIT:
-        raise ValueError(
-            f"q**k = {size} exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}"
-        )
-    return WitnessSet(
-        q=q, k=k, prefixes=tuple(Word(t, q) for t in product(range(q), repeat=k))
-    )
-
-
 def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:
     """Build the canonical case for a theorem family at (q, d, k).
+
+    q_ge_d and d12 use the pair {0, e_k}, a Singleton pigeonhole
+    argument: the two prefixes are at distance 1, so their full words
+    are at distance at most 1 + m, and 1 + m < d at the critical tail
+    length m (m = d - 2 for q_ge_d, m = 0 for d12).  No tails separate
+    them, and the engine's pair pre-check refutes the case with 0 nodes.
+
+    d56_k3 uses one five-prefix family.  Every systematic code contains
+    all 2**k prefixes, so it contains this family too, and refuting the
+    family alone refutes every code.
 
     Raises ValueError when the parameters fall outside the family's
     range, or when the critical tail length would be negative.
@@ -130,81 +119,44 @@ def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:
             raise ValueError(f"q_ge_d needs d >= 2, got {d}")
         if q < d:
             raise ValueError(f"q_ge_d needs q >= d, got q={q}, d={d}")
-        witness = _all_prefixes(q, k)
-        mode = "full"
+        witness = _embedded(q, k, _PIGEONHOLE_PAIR)
     elif theorem_id == "d12":
         if d not in (1, 2):
             raise ValueError(f"d12 needs d in {{1, 2}}, got {d}")
         if d == 1:
             # the critical length k - 1 cannot even hold the prefixes
             raise ValueError("d = 1 has critical length below k; nothing to search")
-        witness = _all_prefixes(q, k)
-        mode = "full"
+        witness = _embedded(q, k, _PIGEONHOLE_PAIR)
     elif theorem_id == "d34":
         if (q, d) not in ((2, 3), (2, 4), (3, 4)):
             raise ValueError(f"d34 covers (q, d) in {{(2,3), (2,4), (3,4)}}, got ({q}, {d})")
         witness = _embedded(q, k, _D34_PATTERNS_Q2 if q == 2 else _D34_PATTERNS_Q3)
-        mode = "tail"
     elif theorem_id == "d56_k2":
         if q != 2 or d not in (5, 6):
             raise ValueError(f"d56_k2 covers q = 2, d in {{5, 6}}, got q={q}, d={d}")
         if k != 2:
             raise ValueError(f"d56_k2 is the k = 2 family, got k={k}")
         witness = _embedded(q, k, _D56_K2_PATTERNS)
-        mode = "tail"
     else:
         if q != 2 or d not in (5, 6):
             raise ValueError(f"d56_k3 covers q = 2, d in {{5, 6}}, got q={q}, d={d}")
         if k < 3:
             raise ValueError(f"d56_k3 needs k >= 3, got {k}")
         witness = _embedded(q, k, _D56_K3_PATTERNS)
-        mode = "tail"
     g = griesmer_sum(q, k, d)
     n = g - 1
     m = n - k
     if m < 0:
         raise ValueError(f"critical length {n} is below the prefix length {k}")
     params = CodeParams(q=q, n=n, k=k, d=d)
-    return TheoremCase(theorem_id=theorem_id, params=params, witness=witness, critical_m=m, mode=mode)
-
-
-def _witness_families(case: TheoremCase) -> list[WitnessSet]:
-    """All witness sets a case must refute.
-
-    d56_k3 splits into two prefix families: unless both are refuted, some
-    counterexample code could still contain one of them.
-    """
-    families = [case.witness]
-    if case.theorem_id == "d56_k3":
-        p = case.params
-        families.append(_embedded(p.q, p.k, _D56_K3_COMPANION))
-    return families
+    return TheoremCase(theorem_id=theorem_id, params=params, witness=witness, critical_m=m)
 
 
 def verify(case: TheoremCase, opts: SearchOptions | None = None) -> Verdict:
-    """Run the case's search and wrap the result in a Verdict."""
-    opts = opts or SearchOptions()
+    """Run the case's witness-set tail search and wrap the result in a Verdict."""
     p = case.params
     g = griesmer_sum(p.q, p.k, p.d)
-    if case.mode == "full":
-        outcome = full_search(p, opts)
-    else:
-        merged: SearchOutcome | None = None
-        for family in _witness_families(case):
-            out = tail_search(family, case.critical_m, p.d, opts)
-            if merged is None:
-                merged = out
-            else:
-                merged = SearchOutcome(
-                    feasible=merged.feasible or out.feasible,
-                    witness=merged.witness or out.witness,
-                    nodes_explored=merged.nodes_explored + out.nodes_explored,
-                    exhausted=merged.exhausted and out.exhausted,
-                )
-            if merged.feasible or not merged.exhausted:
-                break
-        assert merged is not None
-        outcome = merged
+    outcome = tail_search(case.witness, case.critical_m, p.d, opts)
     confirmed = not outcome.feasible and outcome.exhausted
     return Verdict(case=case, confirmed=confirmed, outcome=outcome, griesmer=g)
 

@@ -204,6 +204,8 @@ def test_validation_errors_exit_1(capsys):
         capsys, ["search-full", "--q", "2", "--n", "5", "--k", "2", "--d", "3", "--node-limit", "0"]
     )
     assert code == 1 and err.startswith("error:")
+    code, _, err = _run(capsys, ["verify-all", "--kmax", "2", "--nondeterministic"])
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_deterministic_output_is_byte_identical(capsys):

@@ -28,14 +28,12 @@ def test_case_d56_k3():
     assert _prefix_strings(case) == ["000", "001", "010", "011", "101"]
     assert case.critical_m == 6
     assert case.params == CodeParams(q=2, n=9, k=3, d=5)
-    assert case.mode == "tail"
 
 
 def test_case_d34_q3():
     case = witness_set_for("d34", 3, 4, 2)
     assert _prefix_strings(case) == ["00", "01", "02", "10"]
     assert case.critical_m == 3
-    assert case.mode == "tail"
 
 
 def test_case_d34_q2():
@@ -56,18 +54,30 @@ def test_case_embedding_pads_leading_zeros():
     assert case.critical_m == 6
 
 
-def test_case_q_ge_d_is_full_mode():
+def _assert_pigeonhole_refutation(case):
+    # {0, e_k} is at distance 1 and 1 + m < d: refuted by the pair pre-check
+    verdict = verify(case)
+    assert verdict.confirmed
+    assert verdict.outcome.nodes_explored == 0
+    # cross-check against an exhaustive search over all q**k prefixes
+    full = full_search(case.params)
+    assert not full.feasible and full.exhausted
+
+
+def test_case_q_ge_d_is_pigeonhole_pair():
     case = witness_set_for("q_ge_d", 5, 3, 2)
-    assert case.mode == "full"
-    assert len(case.witness.prefixes) == 25
+    assert _prefix_strings(case) == ["00", "01"]
     assert case.params.n == 3  # d + k - 2
+    assert case.critical_m == 1
+    _assert_pigeonhole_refutation(case)
 
 
-def test_case_d12_is_full_mode():
+def test_case_d12_is_pigeonhole_pair():
     case = witness_set_for("d12", 3, 2, 2)
-    assert case.mode == "full"
-    assert case.critical_m == 0
+    assert _prefix_strings(case) == ["00", "01"]
     assert case.params.n == 2
+    assert case.critical_m == 0
+    _assert_pigeonhole_refutation(case)
 
 
 def test_inadmissible_parameters():
@@ -103,7 +113,6 @@ def test_theorem_case_invariants():
             params=case.params,
             witness=case.witness,
             critical_m=case.critical_m,
-            mode="tail",
         )
     with pytest.raises(ValueError):
         TheoremCase(
@@ -111,15 +120,6 @@ def test_theorem_case_invariants():
             params=case.params,
             witness=case.witness,
             critical_m=case.critical_m + 1,
-            mode="tail",
-        )
-    with pytest.raises(ValueError):
-        TheoremCase(
-            theorem_id="d34",
-            params=case.params,
-            witness=case.witness,
-            critical_m=case.critical_m,
-            mode="dfs",
         )
 
 
@@ -193,6 +193,12 @@ def test_verify_all_kmax3_covers_theorem7():
     assert again == [v.to_dict() for v in verdicts]
 
 
+def test_verify_all_kmax8_extent():
+    verdicts = verify_all(8)
+    assert len(verdicts) == 68
+    assert all(v.confirmed for v in verdicts)
+
+
 def test_verify_all_rejects_small_kmax():
     with pytest.raises(ValueError):
         verify_all(1)
@@ -225,7 +231,8 @@ def test_refuted_length_is_below_bound():
 
 
 def test_both_case_families_are_refuted():
-    # the companion family must be infeasible on its own as well
+    # cross-check: a second five-prefix family is refuted on its own too,
+    # although verify needs only the first
     for d in (5, 6):
         ws = WitnessSet.from_strings(2, 3, ["000", "001", "010", "100", "011"])
         out = tail_search(ws, d + 1, d)
@@ -240,13 +247,8 @@ def test_dropping_a_prefix_breaks_the_refutation():
     assert out.witness is not None
 
 
-def test_verify_merges_both_families_nodes():
+def test_verify_searches_only_the_first_family():
     case = witness_set_for("d56_k3", 2, 5, 3)
-    solo_a = tail_search(case.witness, case.critical_m, 5)
-    solo_b = tail_search(
-        WitnessSet.from_strings(2, 3, ["000", "001", "010", "100", "011"]),
-        case.critical_m,
-        5,
-    )
+    solo = tail_search(case.witness, case.critical_m, 5)
     verdict = verify(case)
-    assert verdict.outcome.nodes_explored == solo_a.nodes_explored + solo_b.nodes_explored
+    assert verdict.outcome.nodes_explored == solo.nodes_explored == 2457
