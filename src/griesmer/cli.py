@@ -86,7 +86,7 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
     for v in verdicts:
         p = v.case.params
         print(
-            f"{v.case.theorem_id:<8} {p.q:>3} {p.k:>3} {p.d:>3} {v.griesmer:>9} "
+            f"{v.case.theorem_id:<8} {p.q:>3} {p.k:>3} {p.d:>3} {v.case.griesmer:>9} "
             f"{p.n:>11} {_bool_text(v.confirmed):>10} {v.outcome.nodes_explored:>12}"
         )
 
@@ -186,10 +186,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

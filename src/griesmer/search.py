@@ -15,6 +15,7 @@ witnesses are reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -119,15 +120,21 @@ def _backtrack(
     """Column-by-column DFS over tail assignments; returns (status, tails, nodes).
 
     Words are assigned in prefix order; within a word, tail columns are
-    filled left to right with symbols tried in increasing order.  After
-    fixing column c of word i, the pair (i, j) is pruned when
-    prefix_distance + tail_distance_so_far + remaining_columns < d: the
-    open columns can no longer close the deficit, and the bound is exact
-    because each open column contributes at most 1.
+    filled left to right with symbols tried in increasing order.  Rows
+    1..r-1 of tails hold -1 in every column not yet assigned.
 
-    The prefix distance table is built row by row, and the search stops
-    with a 0-node refutation at the first pair whose prefix distance plus
-    m is below d: no tails can separate that pair.
+    Words i and j whose prefixes are at distance pd end at distance
+    pd + (m - a), where a is the number of tail columns in which they
+    agree.  So the pair reaches d exactly when a <= slack = pd + m - d,
+    and left[i][j] holds the agreements the pair may still afford,
+    starting at slack.  A placement that agrees with an earlier word
+    whose left is 0 is pruned; an accepted one spends one agreement per
+    word it agrees with, and undoing it refunds them.  The prune is exact
+    because every other open column can still be made to disagree.
+
+    left is built row by row, and the search stops with a 0-node
+    refutation at the first row holding a negative slack: even tails
+    disagreeing everywhere cannot separate that pair.
 
     symmetry applies two reductions to the first nonzero word's tail: it
     must be nonincreasing (tail columns of all words may be permuted
@@ -140,77 +147,57 @@ def _backtrack(
     Every attempted symbol placement counts as one node, pruned or not.
     """
     r = len(prefixes)
-    pd: list[list[int]] = []
+    left: list[list[int]] = []
     for i in range(r):
-        row = [sum(1 for x, y in zip(prefixes[i], prefixes[j]) if x != y) for j in range(i)]
-        if any(dist + m < d for dist in row):
+        row = [m - d + sum(x != y for x, y in zip(prefixes[i], prefixes[j])) for j in range(i)]
+        if any(a < 0 for a in row):
             return _INFEASIBLE, None, 0
-        pd.append(row)
-    tails: list[list[int]] = [[0] * m for _ in range(r)]
+        left.append(row)
+    tails = [[0] * m] + [[-1] * m for _ in range(r - 1)]
     if r <= 1 or m == 0:
         return _FEASIBLE, tails, 0
 
+    limit = sys.maxsize if node_limit is None else node_limit
     total = (r - 1) * m
-    chosen = [-1] * total
-    tds: list[list[int]] = [[0] * i for i in range(r)]
     nodes = 0
     p = 0
     while True:
         i = 1 + p // m
         c = p % m
         tails_i = tails[i]
-        tds_i = tds[i]
-        pd_i = pd[i]
-        prev = chosen[p]
+        left_i = left[i]
+        prev = tails_i[c]
         if prev >= 0:
             for j in range(i):
-                if prev != tails[j][c]:
-                    tds_i[j] -= 1
+                if prev == tails[j][c]:
+                    left_i[j] += 1
         hi = q - 1
         if i == 1 and symmetry:
             if hi > 1:
                 hi = 1
             if c > 0 and tails_i[c - 1] < hi:
                 hi = tails_i[c - 1]
-        remaining = m - c - 1
-        s = prev + 1
-        placed = False
-        while s <= hi:
-            if node_limit is not None and nodes >= node_limit:
+        for s in range(prev + 1, hi + 1):
+            if nodes >= limit:
                 return _ABORTED, None, nodes
             nodes += 1
-            ok = True
             for j in range(i):
-                td = tds_i[j]
-                if s != tails[j][c]:
-                    td += 1
-                if pd_i[j] + td + remaining < d:
-                    ok = False
+                if s == tails[j][c] and not left_i[j]:
                     break
-            if ok:
+            else:
                 for j in range(i):
-                    if s != tails[j][c]:
-                        tds_i[j] += 1
-                chosen[p] = s
+                    if s == tails[j][c]:
+                        left_i[j] -= 1
                 tails_i[c] = s
-                placed = True
+                p += 1
+                if p == total:
+                    return _FEASIBLE, tails, nodes
                 break
-            s += 1
-        if placed:
-            p += 1
-            if p == total:
-                return _FEASIBLE, tails, nodes
         else:
-            chosen[p] = -1
+            tails_i[c] = -1
             p -= 1
             if p < 0:
                 return _INFEASIBLE, None, nodes
-
-
-def _assemble_witness(
-    q: int, prefixes: Sequence[tuple[int, ...]], tails: Sequence[Sequence[int]]
-) -> Code:
-    return Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))
 
 
 def _verify_witness(
@@ -245,7 +232,7 @@ def _outcome(
     status, tails, nodes = _backtrack(prefixes, q, m, d, opts.node_limit, opts.symmetry)
     if status == _FEASIBLE:
         assert tails is not None
-        witness = _assemble_witness(q, prefixes, tails)
+        witness = Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))
         _verify_witness(witness, prefixes, k, d, systematic)
         return SearchOutcome(feasible=True, witness=witness, nodes_explored=nodes, exhausted=True)
     return SearchOutcome(

@@ -35,22 +35,34 @@ class TheoremCase:
 
     params.n is griesmer(q, k, d) - 1 and critical_m = params.n - k, the
     tail length a counterexample code would need.  witness holds the
-    prefixes whose tail search at critical_m refutes the case.
+    prefixes, over the same q and k, whose tail search at critical_m
+    refutes the case.
     """
 
     theorem_id: str
     params: CodeParams
     witness: WitnessSet
-    critical_m: int
 
     def __post_init__(self) -> None:
+        p = self.params
         if self.theorem_id not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {self.theorem_id!r}")
-        if self.critical_m != self.params.n - self.params.k:
+        if self.witness.q != p.q or self.witness.k != p.k:
             raise ValueError(
-                f"critical_m {self.critical_m} does not match n - k = "
-                f"{self.params.n - self.params.k}"
+                f"witness set is over q={self.witness.q}, k={self.witness.k}, "
+                f"but the case is over q={p.q}, k={p.k}"
             )
+        g = griesmer_sum(p.q, p.k, p.d)
+        if p.n != g - 1:
+            raise ValueError(f"n = {p.n} is not the critical length griesmer - 1 = {g - 1}")
+
+    @property
+    def critical_m(self) -> int:
+        return self.params.n - self.params.k
+
+    @property
+    def griesmer(self) -> int:
+        return self.params.n + 1
 
 
 @dataclass(frozen=True)
@@ -63,13 +75,11 @@ class Verdict:
     """
 
     case: TheoremCase
-    confirmed: bool
     outcome: SearchOutcome
-    griesmer: int
 
-    def __post_init__(self) -> None:
-        if self.confirmed != (not self.outcome.feasible and self.outcome.exhausted):
-            raise ValueError("confirmed must equal (infeasible and exhausted)")
+    @property
+    def confirmed(self) -> bool:
+        return not self.outcome.feasible and self.outcome.exhausted
 
     def to_dict(self) -> dict:
         p = self.case.params
@@ -78,7 +88,7 @@ class Verdict:
             "q": p.q,
             "k": p.k,
             "d": p.d,
-            "griesmer": self.griesmer,
+            "griesmer": self.case.griesmer,
             "critical_n": p.n,
             "confirmed": self.confirmed,
             "nodes_explored": self.outcome.nodes_explored,
@@ -143,22 +153,14 @@ def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:
         if k < 3:
             raise ValueError(f"d56_k3 needs k >= 3, got {k}")
         witness = _embedded(q, k, _D56_K3_PATTERNS)
-    g = griesmer_sum(q, k, d)
-    n = g - 1
-    m = n - k
-    if m < 0:
-        raise ValueError(f"critical length {n} is below the prefix length {k}")
-    params = CodeParams(q=q, n=n, k=k, d=d)
-    return TheoremCase(theorem_id=theorem_id, params=params, witness=witness, critical_m=m)
+    params = CodeParams(q=q, n=griesmer_sum(q, k, d) - 1, k=k, d=d)
+    return TheoremCase(theorem_id=theorem_id, params=params, witness=witness)
 
 
 def verify(case: TheoremCase, opts: SearchOptions | None = None) -> Verdict:
     """Run the case's witness-set tail search and wrap the result in a Verdict."""
-    p = case.params
-    g = griesmer_sum(p.q, p.k, p.d)
-    outcome = tail_search(case.witness, case.critical_m, p.d, opts)
-    confirmed = not outcome.feasible and outcome.exhausted
-    return Verdict(case=case, confirmed=confirmed, outcome=outcome, griesmer=g)
+    outcome = tail_search(case.witness, case.critical_m, case.params.d, opts)
+    return Verdict(case=case, outcome=outcome)
 
 
 def _cases(kmax: int) -> Iterator[TheoremCase]:

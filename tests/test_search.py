@@ -167,9 +167,10 @@ def test_oracle_equivalence_small_grid():
             for ws in _weight_le1_witness_sets(q, k, 3):
                 for m in range(0, 3):
                     for d in range(1, 4):
-                        got = tail_search(ws, m, d).feasible
                         want = naive_oracle(ws, m, d)
-                        assert got == want, (q, k, ws.prefixes, m, d)
+                        for symmetry in (True, False):
+                            got = tail_search(ws, m, d, SearchOptions(symmetry=symmetry)).feasible
+                            assert got == want, (q, k, ws.prefixes, m, d, symmetry)
 
 
 def test_four_word_refutation_matches_oracle():
@@ -260,6 +261,38 @@ def test_full_search_feasible_at_bound():
     assert out.feasible
     assert is_systematic(out.witness, 2)
     assert min_distance(out.witness) >= 3
+
+
+_TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2210"]
+
+
+@pytest.mark.parametrize(
+    "q, n, k, d, symmetry, nodes, witness",
+    [
+        (2, 18, 4, 9, True, 67756, [
+            "000000000000000000", "000111111111000000", "001000000011111111",
+            "001100111100001111", "010001011100110011", "010101100101111100",
+            "011011011010011100", "011111100010100011", "100010101110110101",
+            "100111001001011011", "101011010101100110", "101110110000111000",
+            "110000111011101010", "110110000110001110", "111001101001000101",
+            "111100010111010001",
+        ]),
+        (2, 9, 3, 5, True, 2457, None),
+        (3, 4, 2, 3, True, 37, _TETRACODE),
+        (2, 7, 3, 4, False, 64, [
+            "0000000", "0010111", "0101011", "0111100",
+            "1001101", "1011010", "1100110", "1110001",
+        ]),
+        (3, 5, 2, 4, False, 213, None),
+    ],
+)
+def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
+    # the pinned search order fixes node counts and the first witness found
+    out = full_search(CodeParams(q=q, n=n, k=k, d=d), SearchOptions(symmetry=symmetry))
+    assert out.exhausted
+    assert out.feasible is (witness is not None)
+    assert out.nodes_explored == nodes
+    assert out.to_dict().get("witness") == witness
 
 
 def test_full_search_guard():

@@ -8,7 +8,6 @@ from griesmer.search import SearchOptions, WitnessSet, full_search, tail_search
 from griesmer.theorems import (
     THEOREM_IDS,
     TheoremCase,
-    Verdict,
     verify,
     verify_all,
     witness_set_for,
@@ -107,26 +106,26 @@ def test_inadmissible_parameters():
 
 def test_theorem_case_invariants():
     case = witness_set_for("d34", 2, 3, 2)
-    with pytest.raises(ValueError):
-        TheoremCase(
-            theorem_id="bogus",
-            params=case.params,
-            witness=case.witness,
-            critical_m=case.critical_m,
-        )
-    with pytest.raises(ValueError):
-        TheoremCase(
-            theorem_id="d34",
-            params=case.params,
-            witness=case.witness,
-            critical_m=case.critical_m + 1,
-        )
+    same = TheoremCase(theorem_id="d34", params=case.params, witness=case.witness)
+    assert same == case and same.critical_m == 2 and same.griesmer == 5
+    binary = WitnessSet.from_strings(2, 2, ["00", "01", "10"])
+    bad = [
+        ("bogus", case.params, case.witness),
+        # (3, 4, 2, 3) exists (the ternary tetracode): a binary witness must not refute it
+        ("d34", CodeParams(q=3, n=4, k=2, d=3), binary),
+        ("d34", CodeParams(q=3, n=3, k=2, d=3), binary),  # q mismatch only
+        ("d34", CodeParams(q=2, n=5, k=3, d=3), binary),  # k mismatch only
+        ("d34", CodeParams(q=2, n=5, k=2, d=3), binary),  # n is griesmer, not griesmer - 1
+    ]
+    for theorem_id, params, witness in bad:
+        with pytest.raises(ValueError):
+            TheoremCase(theorem_id=theorem_id, params=params, witness=witness)
 
 
 def test_verify_d56_k3():
     verdict = verify(witness_set_for("d56_k3", 2, 5, 3))
     assert verdict.confirmed
-    assert verdict.griesmer == 10
+    assert verdict.case.griesmer == 10
     assert not verdict.outcome.feasible
     assert verdict.outcome.exhausted
 
@@ -134,24 +133,13 @@ def test_verify_d56_k3():
 def test_verify_d34_q3():
     verdict = verify(witness_set_for("d34", 3, 4, 2))
     assert verdict.confirmed
-    assert verdict.griesmer == 6
+    assert verdict.case.griesmer == 6
 
 
 def test_verify_q_ge_d_full():
     verdict = verify(witness_set_for("q_ge_d", 5, 3, 2))
     assert verdict.confirmed
     assert verdict.case.params.n == 3
-
-
-def test_verdict_invariant():
-    verdict = verify(witness_set_for("d34", 2, 3, 2))
-    with pytest.raises(ValueError):
-        Verdict(
-            case=verdict.case,
-            confirmed=not verdict.confirmed,
-            outcome=verdict.outcome,
-            griesmer=verdict.griesmer,
-        )
 
 
 def test_verdict_serialization():
@@ -226,8 +214,8 @@ def test_witness_set_sufficiency():
 def test_refuted_length_is_below_bound():
     for verdict in verify_all(3):
         p = verdict.case.params
-        assert verdict.griesmer == griesmer_sum(p.q, p.k, p.d)
-        assert verdict.griesmer > p.k + verdict.case.critical_m
+        assert verdict.case.griesmer == griesmer_sum(p.q, p.k, p.d)
+        assert verdict.case.griesmer > p.k + verdict.case.critical_m
 
 
 def test_both_case_families_are_refuted():
