@@ -93,7 +93,7 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
 
 def _add_search_opts(sub: argparse.ArgumentParser, default_limit: int | None) -> None:
     sub.add_argument("--node-limit", type=int, default=default_limit, metavar="N")
-    sub.add_argument("--no-symmetry", action="store_true")
+    sub.add_argument("--no-symmetry", action="store_true", help="skip symmetry breaking; same verdicts")
 
 
 def _opts_from(args: argparse.Namespace) -> SearchOptions:

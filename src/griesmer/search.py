@@ -72,8 +72,8 @@ class SearchOptions:
     """Knobs for a search run.
 
     node_limit caps the number of attempted symbol placements; symmetry
-    toggles the canonical-form reductions on the first nonzero word's
-    tail.
+    toggles the canonical-form reductions: value precedence in every
+    tail column and a nonincreasing first nonzero word's tail.
     """
 
     node_limit: int | None = None
@@ -136,13 +136,25 @@ def _backtrack(
     refutation at the first row holding a negative slack: even tails
     disagreeing everywhere cannot separate that pair.
 
-    symmetry applies two reductions to the first nonzero word's tail: it
-    must be nonincreasing (tail columns of all words may be permuted
-    simultaneously without changing any distance), and its nonzero
-    symbols are forced to 1 (any alphabet bijection fixing 0 may be
-    applied per tail column).  Relabeling every nonzero symbol of that
-    tail to 1 and then sorting the columns maps an arbitrary solution to
-    one inside the reduced space, so feasibility is unchanged.
+    symmetry applies two reductions.  Value precedence: the symbol of
+    word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
+    nonzero symbol first appears in a column only after every smaller
+    one has appeared above it; for word 1 the bound is 1.  Order: the
+    first nonzero word's tail is nonincreasing.  top[i][c] holds the
+    running maximum of column c down to word i; it is written when a
+    symbol is accepted and read only at word i + 1, which the search
+    reaches only after that write, so undoing needs no bookkeeping.
+    With q = 2 the bound never binds and top is left alone.
+
+    Soundness: an alphabet bijection fixing 0, applied to one tail
+    column, keeps every distance and keeps the zero word's zero tail.
+    So relabel each column's nonzero symbols in order of first
+    appearance down the column; the result obeys precedence, and word 1
+    holds only 0s and 1s.  Then stable-sort the columns by word 1's
+    symbol, 1s first.  Permuting the tail columns of all words at once
+    keeps every distance, and it moves whole columns, so each column
+    keeps its precedence.  Every solution thus maps to one inside the
+    reduced space, and feasibility is unchanged.
 
     Every attempted symbol placement counts as one node, pruned or not.
     """
@@ -157,6 +169,8 @@ def _backtrack(
     if r <= 1 or m == 0:
         return _FEASIBLE, tails, 0
 
+    precede = symmetry and q > 2
+    top = [[0] * m for _ in range(r)]
     limit = sys.maxsize if node_limit is None else node_limit
     total = (r - 1) * m
     nodes = 0
@@ -172,11 +186,12 @@ def _backtrack(
                 if prev == tails[j][c]:
                     left_i[j] += 1
         hi = q - 1
-        if i == 1 and symmetry:
-            if hi > 1:
-                hi = 1
-            if c > 0 and tails_i[c - 1] < hi:
-                hi = tails_i[c - 1]
+        if precede:
+            t = top[i - 1][c]
+            if t < hi:
+                hi = t + 1
+        if i == 1 and symmetry and c > 0 and tails_i[c - 1] < hi:
+            hi = tails_i[c - 1]
         for s in range(prev + 1, hi + 1):
             if nodes >= limit:
                 return _ABORTED, None, nodes
@@ -189,6 +204,8 @@ def _backtrack(
                     if s == tails[j][c]:
                         left_i[j] -= 1
                 tails_i[c] = s
+                if precede:
+                    top[i][c] = s if s > t else t
                 p += 1
                 if p == total:
                     return _FEASIBLE, tails, nodes

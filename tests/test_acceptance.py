@@ -194,12 +194,13 @@ def test_criterion_8_metric_and_transform_properties(capsys):
     _criterion(capsys, 8, 30.0, run)
 
 
-def test_criterion_9_verify_all_cli(capsys):
+def test_criterion_9_verify_all_cli(capsys, cli_env):
     def run():
         proc = subprocess.run(
             [sys.executable, "-m", "griesmer.cli", "verify-all", "--kmax", "4", "--format", "json"],
             capture_output=True,
             text=True,
+            env=cli_env,
             timeout=115,
         )
         assert proc.returncode == 0, proc.stderr

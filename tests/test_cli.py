@@ -215,11 +215,12 @@ def test_deterministic_output_is_byte_identical(capsys):
     assert first == second
 
 
-def test_console_entry_point():
+def test_console_entry_point(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "griesmer.cli", "bound", "--q", "2", "--k", "3", "--d", "5", "--format", "json"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"q":2,"k":3,"d":5,"griesmer":10,"singleton":7,"terms":[5,3,2]}\n'

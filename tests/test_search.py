@@ -49,6 +49,21 @@ def _random_witness_set(rng):
     return WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + others))
 
 
+def _distinct_witness_sets(q, k, r):
+    """One r-prefix witness set per distinct ordered prefix-distance matrix.
+
+    The engine and the oracle depend on the prefixes only through their
+    pairwise distances, so this covers every r-subset of the q**k prefixes.
+    """
+    pool = list(product(range(q), repeat=k))
+    found = {}
+    for extra in combinations(pool[1:], r - 1):
+        words = (pool[0],) + extra
+        key = tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
+        found.setdefault(key, WitnessSet(q=q, k=k, prefixes=tuple(Word(w, q) for w in words)))
+    return list(found.values())
+
+
 def test_witness_set_validation():
     ws = _ws(2, 2, ["00", "01", "10"])
     assert ws.q == 2 and ws.k == 2 and len(ws.prefixes) == 3
@@ -224,6 +239,22 @@ def test_symmetry_option_preserves_feasibility():
             assert with_sym.nodes_explored <= without.nodes_explored
 
 
+@pytest.mark.parametrize("q, k, r, m", [(3, 2, 4, 3), (3, 2, 5, 2), (4, 2, 4, 2)])
+def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
+    # q >= 3 and r >= 4 make the precedence bound bind at words 2 and beyond,
+    # which the random cases (r <= 3) never reach; d >= m + k is left out
+    # because there the oracle mostly enumerates everything to confirm a
+    # 0-node pre-check refutation
+    for ws in _distinct_witness_sets(q, k, r):
+        for d in range(2, m + k):
+            want = naive_oracle(ws, m, d)
+            reduced = tail_search(ws, m, d)
+            plain = tail_search(ws, m, d, SearchOptions(symmetry=False))
+            assert reduced.feasible == plain.feasible == want, (ws.prefixes, m, d)
+            if not want:
+                assert reduced.nodes_explored <= plain.nodes_explored, (ws.prefixes, m, d)
+
+
 def test_monotone_in_m():
     rng = random.Random(13)
     for _ in range(150):
@@ -284,6 +315,8 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "1001101", "1011010", "1100110", "1110001",
         ]),
         (3, 5, 2, 4, False, 213, None),
+        (5, 7, 2, 6, True, 395, None),
+        (3, 11, 2, 9, True, 74959, None),
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
