@@ -132,6 +132,13 @@ def _backtrack(
     word it agrees with, and undoing it refunds them.  The prune is exact
     because every other open column can still be made to disagree.
 
+    holders[c][s] lists the rows whose symbol in tail column c is s, so
+    the prune, the spend and the refund visit only the rows that agree.
+    At cell (i, c) it holds only rows above i, in increasing order: rows
+    are filled in order, so an accepted placement appends i, and undoing
+    it pops i, which is then the last entry.  The zero word holds 0 in
+    every column from the start.
+
     left is built row by row, and the search stops with a 0-node
     refutation at the first row holding a negative slack: even tails
     disagreeing everywhere cannot separate that pair.
@@ -171,6 +178,7 @@ def _backtrack(
 
     precede = symmetry and q > 2
     top = [[0] * m for _ in range(r)]
+    holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     limit = sys.maxsize if node_limit is None else node_limit
     total = (r - 1) * m
     nodes = 0
@@ -180,11 +188,13 @@ def _backtrack(
         c = p % m
         tails_i = tails[i]
         left_i = left[i]
+        col = holders[c]
         prev = tails_i[c]
         if prev >= 0:
-            for j in range(i):
-                if prev == tails[j][c]:
-                    left_i[j] += 1
+            agree = col[prev]
+            agree.pop()
+            for j in agree:
+                left_i[j] += 1
         hi = q - 1
         if precede:
             t = top[i - 1][c]
@@ -196,13 +206,14 @@ def _backtrack(
             if nodes >= limit:
                 return _ABORTED, None, nodes
             nodes += 1
-            for j in range(i):
-                if s == tails[j][c] and not left_i[j]:
+            agree = col[s]
+            for j in agree:
+                if not left_i[j]:
                     break
             else:
-                for j in range(i):
-                    if s == tails[j][c]:
-                        left_i[j] -= 1
+                for j in agree:
+                    left_i[j] -= 1
+                agree.append(i)
                 tails_i[c] = s
                 if precede:
                     top[i][c] = s if s > t else t

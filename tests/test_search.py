@@ -147,6 +147,19 @@ def test_node_limit_large_enough_matches_unlimited():
     assert capped == free
 
 
+@pytest.mark.parametrize("q, n, k, d", [(2, 9, 3, 5), (3, 5, 2, 4), (4, 5, 2, 4), (2, 7, 3, 4)])
+def test_node_limit_boundary(q, n, k, d):
+    # a limit of exactly N reproduces the unlimited run; N - 1 aborts there
+    params = CodeParams(q=q, n=n, k=k, d=d)
+    free = full_search(params)
+    n_free = free.nodes_explored
+    assert free.exhausted and n_free > 1
+    assert full_search(params, SearchOptions(node_limit=n_free)) == free
+    cut = full_search(params, SearchOptions(node_limit=n_free - 1))
+    assert not cut.feasible and not cut.exhausted and cut.witness is None
+    assert cut.nodes_explored == n_free - 1
+
+
 def test_nodes_explored_zero_on_prepass_refutation():
     # prefix distance 1 plus 1 tail column can never reach 3
     out = tail_search(_ws(2, 2, ["00", "01"]), 1, 3)
@@ -317,6 +330,17 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
         (3, 5, 2, 4, False, 213, None),
         (5, 7, 2, 6, True, 395, None),
         (3, 11, 2, 9, True, 74959, None),
+        (3, 16, 3, 10, True, 127645, [
+            "0000000000000000", "0011111111110000", "0020000111121111",
+            "0100000122212222", "0110011200011112", "0120111001102221",
+            "0200111022220110", "0210012212202001", "0220102210020222",
+            "1000012201221220", "1010021010122022", "1020021222000211",
+            "1100102010211011", "1110100202122100", "1120202121100002",
+            "1200120101010121", "1210210020021201", "1221000220111020",
+            "2000210212100122", "2010122002210202", "2021001021012102",
+            "2100221111022200", "2111000211200210", "2121012100220101",
+            "2201020002122211", "2211101102001022", "2221222010001110",
+        ]),
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
