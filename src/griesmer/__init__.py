@@ -8,9 +8,6 @@ from .core import (
     distance,
     is_systematic,
     min_distance,
-    pad,
-    translate,
-    weight,
 )
 from .bounds import (
     BoundReport,
@@ -43,9 +40,6 @@ __all__ = [
     "distance",
     "is_systematic",
     "min_distance",
-    "pad",
-    "translate",
-    "weight",
     "BoundReport",
     "bound_report",
     "bound_table",

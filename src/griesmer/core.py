@@ -30,10 +30,6 @@ class Word:
                 raise ValueError(f"symbol {s} outside [0, {self.q})")
 
     @classmethod
-    def zero(cls, length: int, q: int) -> Word:
-        return cls((0,) * length, q)
-
-    @classmethod
     def parse(cls, text: str, q: int) -> Word:
         """Inverse of str(): digit string for q <= 10, whitespace-separated integers above."""
         text = text.strip()
@@ -51,18 +47,6 @@ class Word:
     @property
     def length(self) -> int:
         return len(self.symbols)
-
-    def prefix(self, k: int) -> Word:
-        """The systematic part: the first k symbols as a word."""
-        if not 1 <= k <= self.length:
-            raise ValueError(f"prefix length {k} outside [1, {self.length}]")
-        return Word(self.symbols[:k], self.q)
-
-    def tail(self, k: int) -> tuple[int, ...]:
-        """The symbols after position k; empty when k equals the length."""
-        if not 1 <= k <= self.length:
-            raise ValueError(f"prefix length {k} outside [1, {self.length}]")
-        return self.symbols[k:]
 
     def __str__(self) -> str:
         if self.q <= 10:
@@ -154,11 +138,6 @@ class Code:
         return f"Code(q={self._q}, length={self._length}, {{{shown}}})"
 
 
-def weight(w: Word) -> int:
-    """Number of nonzero symbols."""
-    return sum(1 for s in w.symbols if s)
-
-
 def distance(a: Word, b: Word) -> int:
     """Hamming distance: the number of positions where a and b differ."""
     if a.length != b.length:
@@ -192,33 +171,3 @@ def is_systematic(code: Code, k: int) -> bool:
         return False
     prefixes = {w.symbols[:k] for w in code}
     return len(prefixes) == len(code)
-
-
-def translate(code: Code, t: Word) -> Code:
-    """Subtract t from every word, component-wise mod q.
-
-    Translating by any codeword yields an equivalent code containing the
-    zero word; all pairwise distances are preserved.
-    """
-    if t.length != code.length:
-        raise ValueError(f"incomparable words: lengths {t.length} and {code.length} differ")
-    if t.q != code.q:
-        raise ValueError(f"incomparable words: alphabets {t.q} and {code.q} differ")
-    q = code.q
-    return Code(
-        Word(tuple((a - b) % q for a, b in zip(w.symbols, t.symbols)), q) for w in code
-    )
-
-
-def pad(code: Code, extra: int) -> Code:
-    """Append `extra` constant-zero columns to every word.
-
-    Zero columns add no differences, so the minimum distance and the
-    systematic property are preserved exactly.
-    """
-    if extra < 0:
-        raise ValueError(f"cannot pad by a negative amount: {extra}")
-    if extra == 0:
-        return code
-    zeros = (0,) * extra
-    return Code(Word(w.symbols + zeros, w.q) for w in code)

@@ -5,8 +5,9 @@ engine decides whether tails of a given length can be attached so that
 every pair of full words reaches distance at least d.  The zero prefix
 always receives the zero tail: translating all words by the zero-prefix
 word preserves prefixes and pairwise distances, so this loses no
-feasibility.  A naive enumeration oracle with no pruning and no symmetry
-reduction is provided as an independent cross-check.
+feasibility.  A pre-check refutes what one counting inequality rules
+out; a DFS decides the rest.  A naive enumeration oracle with no pruning
+and no symmetry reduction is provided as an independent cross-check.
 
 Search order is fully pinned (words in the given prefix order, tail
 columns left to right, symbols increasing), so outcomes, node counts and
@@ -72,8 +73,10 @@ class SearchOptions:
     """Knobs for a search run.
 
     node_limit caps the number of attempted symbol placements; symmetry
-    toggles the canonical-form reductions: value precedence in every
-    tail column and a nonincreasing first nonzero word's tail.
+    toggles the DFS's canonical-form reductions: value precedence in
+    every tail column and a nonincreasing first nonzero word's tail.
+    Neither affects the pre-check, which runs first and explores no
+    nodes.
     """
 
     node_limit: int | None = None
@@ -109,24 +112,70 @@ class SearchOutcome:
         return out
 
 
+def _precheck(
+    prefixes: Sequence[tuple[int, ...]], q: int, m: int, d: int
+) -> tuple[list[list[int]], tuple[str, int, int] | None]:
+    """Build the slack table; refute the search with no node where one inequality can.
+
+    Words i and j whose prefixes are at distance pd end at distance
+    pd + (m - a), where a is the number of tail columns in which they
+    agree.  So the pair reaches d exactly when a <= slack = pd + m - d;
+    slack[i][j], for j < i, holds that value.  Returns (slack, reason),
+    where reason is None when the search stays open, or else:
+
+    ("pair", j, i): slack[i][j] < 0, so even tails that disagree
+    everywhere leave words i and j closer than d.  The table is built
+    row by row and ends at row i.
+
+    ("average", need, capacity): Plotkin's averaging over the tail
+    columns.  Pair (i, j) needs at least max(0, m - slack) tail columns
+    in which it disagrees, so all pairs together need `need`
+    disagreements.  One column with n_s of its r symbols equal to s
+    holds r(r-1)/2 - sum_s n_s(n_s-1)/2 disagreeing pairs, most when the
+    n_s are as equal as possible, and the m columns hold at most
+    capacity, m times that.  need > capacity leaves no tails.
+
+    ("parity", need, capacity): the same count at (m + 1, d + 1), tried
+    for q = 2 and odd d.  Appending the parity of the whole word to
+    every word keeps the prefixes and adds 1 to each odd distance, so a
+    solution at (m, d) gives one at (m + 1, d + 1), where every slack
+    is the same.  Refuting that search refutes this one.
+    """
+    slack: list[list[int]] = []
+    for i, p in enumerate(prefixes):
+        row = [m - d + sum(x != y for x, y in zip(p, prefixes[j])) for j in range(i)]
+        slack.append(row)
+        if row and min(row) < 0:
+            return slack, ("pair", row.index(min(row)), i)
+    r = len(prefixes)
+    a, b = divmod(r, q)
+    column = (r * (r - 1) - b * (a + 1) * a - (q - b) * a * (a - 1)) // 2
+    for t in (m, m + 1) if q == 2 and d % 2 else (m,):
+        need = sum(t - s for row in slack for s in row if s < t)
+        if need > t * column:
+            return slack, ("average" if t == m else "parity", need, t * column)
+    return slack, None
+
+
 def _backtrack(
-    prefixes: Sequence[tuple[int, ...]],
+    slack: list[list[int]],
     q: int,
     m: int,
-    d: int,
     node_limit: int | None,
     symmetry: bool,
 ) -> tuple[int, list[list[int]] | None, int]:
     """Column-by-column DFS over tail assignments; returns (status, tails, nodes).
 
-    Words are assigned in prefix order; within a word, tail columns are
+    slack is the table _precheck builds, one row per word; the search
+    spends it in place as left, so a table serves one call.  The search
+    alone decides every instance, so it cross-checks the pre-check: a
+    negative slack refutes with 0 nodes, as no tails separate that pair.
+
+    Words are assigned in table order; within a word, tail columns are
     filled left to right with symbols tried in increasing order.  Rows
     1..r-1 of tails hold -1 in every column not yet assigned.
 
-    Words i and j whose prefixes are at distance pd end at distance
-    pd + (m - a), where a is the number of tail columns in which they
-    agree.  So the pair reaches d exactly when a <= slack = pd + m - d,
-    and left[i][j] holds the agreements the pair may still afford,
+    left[i][j] holds the agreements words i and j may still afford,
     starting at slack.  A placement that agrees with an earlier word
     whose left is 0 is pruned; an accepted one spends one agreement per
     word it agrees with, and undoing it refunds them.  The prune is exact
@@ -138,10 +187,6 @@ def _backtrack(
     are filled in order, so an accepted placement appends i, and undoing
     it pops i, which is then the last entry.  The zero word holds 0 in
     every column from the start.
-
-    left is built row by row, and the search stops with a 0-node
-    refutation at the first row holding a negative slack: even tails
-    disagreeing everywhere cannot separate that pair.
 
     symmetry applies two reductions.  Value precedence: the symbol of
     word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
@@ -165,13 +210,10 @@ def _backtrack(
 
     Every attempted symbol placement counts as one node, pruned or not.
     """
-    r = len(prefixes)
-    left: list[list[int]] = []
-    for i in range(r):
-        row = [m - d + sum(x != y for x, y in zip(prefixes[i], prefixes[j])) for j in range(i)]
-        if any(a < 0 for a in row):
-            return _INFEASIBLE, None, 0
-        left.append(row)
+    r = len(slack)
+    if any(row and min(row) < 0 for row in slack):
+        return _INFEASIBLE, None, 0
+    left = slack
     tails = [[0] * m] + [[-1] * m for _ in range(r - 1)]
     if r <= 1 or m == 0:
         return _FEASIBLE, tails, 0
@@ -256,8 +298,11 @@ def _outcome(
     opts: SearchOptions,
     systematic: bool,
 ) -> SearchOutcome:
-    """Run the engine and turn its status into an outcome, re-checking any witness."""
-    status, tails, nodes = _backtrack(prefixes, q, m, d, opts.node_limit, opts.symmetry)
+    """Run the pre-check, then the DFS, and make an outcome, re-checking any witness."""
+    slack, reason = _precheck(prefixes, q, m, d)
+    if reason is not None:
+        return SearchOutcome(feasible=False, witness=None, nodes_explored=0, exhausted=True)
+    status, tails, nodes = _backtrack(slack, q, m, opts.node_limit, opts.symmetry)
     if status == _FEASIBLE:
         assert tails is not None
         witness = Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))

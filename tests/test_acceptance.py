@@ -12,7 +12,7 @@ import time
 from itertools import combinations
 
 from griesmer.bounds import griesmer_sum
-from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance, pad
+from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance
 from griesmer.search import WitnessSet, full_search, naive_oracle, tail_search
 
 
@@ -114,7 +114,7 @@ def test_criterion_7_oracle_equivalence(capsys):
         checked = 0
         for q in (2, 3):
             for k in (1, 2, 3):
-                zero = Word.zero(k, q)
+                zero = Word((0,) * k, q)
                 singles = [
                     Word((0,) * i + (s,) + (0,) * (k - i - 1), q)
                     for i in range(k)
@@ -147,6 +147,9 @@ def test_criterion_8_metric_and_transform_properties(capsys):
             while len(pool) < size:
                 pool.add(tuple(rng.randrange(q) for _ in range(length)))
             return Code(Word(t, q) for t in pool)
+
+        def pad(code, extra):
+            return Code(Word(w.symbols + (0,) * extra, w.q) for w in code)
 
         def pair_distances(code):
             ws = code.words

@@ -111,7 +111,7 @@ def test_search_full_json(capsys):
 def test_search_full_node_limited_exit_2(capsys):
     code, out, _ = _run(
         capsys,
-        ["search-full", "--q", "2", "--n", "9", "--k", "3", "--d", "5", "--node-limit", "50", "--format", "json"],
+        ["search-full", "--q", "2", "--n", "18", "--k", "4", "--d", "9", "--node-limit", "50", "--format", "json"],
     )
     assert code == 2
     payload = json.loads(out)
@@ -147,13 +147,17 @@ def test_verify_text_table(capsys):
     assert "true" in lines[1]
 
 
-def test_verify_node_limited_exit_2(capsys):
+def test_verify_node_limit_cannot_cut_a_precheck_refutation_short(capsys):
+    # the pre-check refutes this case before the DFS, so the limit is never reached
     code, out, _ = _run(
         capsys,
-        ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", "3", "--node-limit", "10"],
+        ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", "3", "--node-limit", "10",
+         "--format", "json"],
     )
-    assert code == 2
-    assert "false" in out
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["confirmed"] is True
+    assert payload["nodes_explored"] == 0
 
 
 def test_verify_inadmissible_exit_1(capsys):

@@ -1,7 +1,7 @@
 """Backtracking tail search, the naive oracle, and witness files."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -11,8 +11,11 @@ from griesmer.search import (
     GuardLimitError,
     SearchOptions,
     WitnessSet,
+    _ABORTED,
     _FEASIBLE,
+    _INFEASIBLE,
     _backtrack,
+    _precheck,
     full_search,
     load_witness_set,
     naive_oracle,
@@ -25,9 +28,19 @@ def _ws(q, k, texts):
     return WitnessSet.from_strings(q, k, texts)
 
 
+def _all_prefixes(q, k):
+    return WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in product(range(q), repeat=k)))
+
+
+def _dfs(ws, m, d, symmetry=True, node_limit=None):
+    """The DFS alone, on the pre-check's slack table but not its verdict."""
+    slack, _ = _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)
+    return _backtrack(slack, ws.q, m, node_limit, symmetry)
+
+
 def _weight_le1_witness_sets(q, k, max_size):
     """Every witness set of weight-<=1 prefixes containing the zero word."""
-    zero = Word.zero(k, q)
+    zero = Word((0,) * k, q)
     singles = [
         Word((0,) * i + (s,) + (0,) * (k - i - 1), q)
         for i in range(k)
@@ -128,12 +141,15 @@ def test_degenerate_instances():
 def test_witness_keeps_zero_tail_on_zero_prefix():
     out = tail_search(_ws(3, 2, ["00", "11", "22"]), 2, 3)
     assert out.feasible
-    assert Word.zero(4, 3) in out.witness
+    assert Word((0, 0, 0, 0), 3) in out.witness
 
 
 def test_node_limit_aborts_exactly():
-    ws = _ws(2, 3, ["000", "001", "010", "011", "101"])
-    out = tail_search(ws, 6, 5, SearchOptions(node_limit=100))
+    # the pre-check leaves this refutation to the DFS, which needs 152 nodes
+    ws = _ws(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
+    assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
+    assert _dfs(ws, 3, 4) == (_INFEASIBLE, None, 152)
+    out = tail_search(ws, 3, 4, SearchOptions(node_limit=100))
     assert not out.feasible
     assert not out.exhausted
     assert out.nodes_explored == 100
@@ -149,15 +165,17 @@ def test_node_limit_large_enough_matches_unlimited():
 
 @pytest.mark.parametrize("q, n, k, d", [(2, 9, 3, 5), (3, 5, 2, 4), (4, 5, 2, 4), (2, 7, 3, 4)])
 def test_node_limit_boundary(q, n, k, d):
-    # a limit of exactly N reproduces the unlimited run; N - 1 aborts there
-    params = CodeParams(q=q, n=n, k=k, d=d)
-    free = full_search(params)
-    n_free = free.nodes_explored
-    assert free.exhausted and n_free > 1
-    assert full_search(params, SearchOptions(node_limit=n_free)) == free
-    cut = full_search(params, SearchOptions(node_limit=n_free - 1))
-    assert not cut.feasible and not cut.exhausted and cut.witness is None
-    assert cut.nodes_explored == n_free - 1
+    # a limit of exactly N reproduces the unlimited DFS; N - 1 aborts there
+    ws = _all_prefixes(q, k)
+    free = _dfs(ws, n - k, d)
+    status, _, n_free = free
+    assert status != _ABORTED and n_free > 1
+    assert _dfs(ws, n - k, d, node_limit=n_free) == free
+    assert _dfs(ws, n - k, d, node_limit=n_free - 1) == (_ABORTED, None, n_free - 1)
+    # a limit the DFS needs is enough for the outcome, which the pre-check may settle first
+    out = full_search(CodeParams(q=q, n=n, k=k, d=d), SearchOptions(node_limit=n_free))
+    assert out.exhausted and out.feasible is (status == _FEASIBLE)
+    assert out.nodes_explored in (0, n_free)
 
 
 def test_nodes_explored_zero_on_prepass_refutation():
@@ -231,9 +249,8 @@ def test_symmetry_flags_individually_preserve_feasibility():
         ws = _random_witness_set(rng)
         m = rng.randint(0, 3)
         d = rng.randint(1, 4)
-        prefixes = [w.symbols for w in ws.prefixes]
-        reduced = _backtrack(prefixes, ws.q, m, d, None, True)[0] == _FEASIBLE
-        plain = _backtrack(prefixes, ws.q, m, d, None, False)[0] == _FEASIBLE
+        reduced = _dfs(ws, m, d, True)[0] == _FEASIBLE
+        plain = _dfs(ws, m, d, False)[0] == _FEASIBLE
         assert reduced == plain == naive_oracle(ws, m, d), (ws.prefixes, m, d)
 
 
@@ -261,11 +278,108 @@ def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
     for ws in _distinct_witness_sets(q, k, r):
         for d in range(2, m + k):
             want = naive_oracle(ws, m, d)
-            reduced = tail_search(ws, m, d)
-            plain = tail_search(ws, m, d, SearchOptions(symmetry=False))
-            assert reduced.feasible == plain.feasible == want, (ws.prefixes, m, d)
+            assert tail_search(ws, m, d).feasible == want, (ws.prefixes, m, d)
+            # the DFS alone, so that cases the pre-check settles still test it
+            reduced = _dfs(ws, m, d, True)
+            plain = _dfs(ws, m, d, False)
+            assert (reduced[0] == _FEASIBLE) == (plain[0] == _FEASIBLE) == want, (ws.prefixes, m, d)
             if not want:
-                assert reduced.nodes_explored <= plain.nodes_explored, (ws.prefixes, m, d)
+                assert reduced[2] <= plain[2], (ws.prefixes, m, d)
+
+
+@pytest.mark.parametrize("q, k, rmax, mmax", [(2, 3, 5, 4), (3, 2, 4, 3)])
+def test_precheck_refutes_only_infeasible_searches_exhaustive(q, k, rmax, mmax):
+    # every witness set up to equal distance matrices, every m and d: each
+    # refutation must be one the DFS alone and the oracle (where it is
+    # small enough) agree with; for q = 2 the odd d bring the parity form
+    kinds = set()
+    for r in range(2, rmax + 1):
+        for ws in _distinct_witness_sets(q, k, r):
+            for m in range(mmax + 1):
+                for d in range(1, m + k + 1):
+                    reason = _precheck([w.symbols for w in ws.prefixes], q, m, d)[1]
+                    if reason is None:
+                        continue
+                    kinds.add(reason[0])
+                    assert _dfs(ws, m, d)[0] == _INFEASIBLE, (ws.prefixes, m, d, reason)
+                    if q ** (m * (r - 1)) <= 2**10:
+                        assert naive_oracle(ws, m, d) is False, (ws.prefixes, m, d, reason)
+    assert kinds == ({"pair", "average", "parity"} if q == 2 else {"pair", "average"})
+
+
+def test_precheck_refutes_only_infeasible_searches_random():
+    rng = random.Random(67)
+    for _ in range(400):
+        q = rng.choice((2, 3, 4))
+        k = rng.randint(1, 3)
+        pool = list(product(range(q), repeat=k))
+        r = rng.randint(2, min(6, len(pool)))
+        ws = WitnessSet(
+            q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + rng.sample(pool[1:], r - 1))
+        )
+        m = rng.randint(0, 5)
+        d = rng.randint(1, m + k)
+        reason = _precheck([w.symbols for w in ws.prefixes], q, m, d)[1]
+        if reason is not None:
+            assert _dfs(ws, m, d)[0] == _INFEASIBLE, (ws.prefixes, m, d, reason)
+            if q ** (m * (r - 1)) <= 2**10:
+                assert naive_oracle(ws, m, d) is False, (ws.prefixes, m, d, reason)
+
+
+def _need_and_capacity(ws, m, d):
+    """The averaging count from its definition, with the best column found by search."""
+    words = [w.symbols for w in ws.prefixes]
+    need = sum(max(0, d - sum(x != y for x, y in zip(a, b))) for a, b in combinations(words, 2))
+    r = len(words)
+    best = max(
+        r * (r - 1) // 2 - sum(n * (n - 1) // 2 for n in split)
+        for split in combinations_with_replacement(range(r + 1), ws.q)
+        if sum(split) == r
+    )
+    return need, m * best
+
+
+_D56_K3 = _ws(2, 3, ["000", "001", "010", "011", "101"])
+
+
+@pytest.mark.parametrize(
+    "ws, m, d, plain, parity",
+    [
+        (_all_prefixes(3, 2), 7, 7, (198, 189), None),
+        (_all_prefixes(5, 2), 5, 6, (1300, 1250), None),
+        (_D56_K3, 6, 5, (34, 36), (44, 42)),
+        # the tightest feasible control: a code exists, so nothing may fire
+        (_all_prefixes(2, 4), 15, 10, (944, 960), None),
+    ],
+)
+def test_precheck_pinned_need_and_capacity(ws, m, d, plain, parity):
+    assert _need_and_capacity(ws, m, d) == plain
+    if parity is not None:
+        assert _need_and_capacity(ws, m + 1, d + 1) == parity
+    if plain[0] > plain[1]:
+        want = ("average", *plain)
+    elif parity is not None and parity[0] > parity[1]:
+        want = ("parity", *parity)
+    else:
+        want = None
+    assert _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)[1] == want
+
+
+@pytest.mark.parametrize(
+    "q, n, k, d",
+    [(2, 18, 4, 9), (2, 19, 4, 10), (2, 22, 4, 11), (2, 23, 4, 12), (3, 16, 3, 10), (4, 9, 2, 7)],
+)
+def test_precheck_leaves_feasible_controls_open(q, n, k, d):
+    prefixes = list(product(range(q), repeat=k))
+    assert _precheck(prefixes, q, n - k, d)[1] is None
+
+
+def test_precheck_pair_refutation_stops_at_the_first_row():
+    # 4096 prefixes, but the pair (0, 1) is refuted as soon as row 1 is built
+    prefixes = list(product(range(2), repeat=12))
+    slack, reason = _precheck(prefixes, 2, 0, 2)
+    assert reason == ("pair", 0, 1)
+    assert slack == [[], [-1]]
 
 
 def test_monotone_in_m():
@@ -344,12 +458,15 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
-    # the pinned search order fixes node counts and the first witness found
+    # the pinned search order fixes the DFS's node counts and the first
+    # witness found; every refutation here is the pre-check's, with 0 nodes
     out = full_search(CodeParams(q=q, n=n, k=k, d=d), SearchOptions(symmetry=symmetry))
     assert out.exhausted
     assert out.feasible is (witness is not None)
-    assert out.nodes_explored == nodes
+    assert out.nodes_explored == (nodes if out.feasible else 0)
     assert out.to_dict().get("witness") == witness
+    if not out.feasible:
+        assert _dfs(_all_prefixes(q, k), n - k, d, symmetry) == (_INFEASIBLE, None, nodes)
 
 
 def test_full_search_guard():

@@ -4,10 +4,19 @@ import pytest
 
 from griesmer.bounds import griesmer_sum
 from griesmer.core import CodeParams
-from griesmer.search import SearchOptions, WitnessSet, full_search, tail_search
+from griesmer.search import (
+    SearchOptions,
+    WitnessSet,
+    _INFEASIBLE,
+    _backtrack,
+    _precheck,
+    full_search,
+    tail_search,
+)
 from griesmer.theorems import (
     THEOREM_IDS,
     TheoremCase,
+    Verdict,
     verify,
     verify_all,
     witness_set_for,
@@ -16,6 +25,13 @@ from griesmer.theorems import (
 
 def _prefix_strings(case):
     return [str(w) for w in case.witness.prefixes]
+
+
+def _dfs(case):
+    """The DFS alone on the case, given the pre-check's slack table but not its verdict."""
+    q, m = case.params.q, case.critical_m
+    slack, _ = _precheck([w.symbols for w in case.witness.prefixes], q, m, case.params.d)
+    return _backtrack(slack, q, m, None, True)
 
 
 def test_theorem_ids():
@@ -153,7 +169,12 @@ def test_verdict_serialization():
 
 
 def test_node_limited_verify_is_never_confirmed():
-    verdict = verify(witness_set_for("d56_k3", 2, 5, 3), SearchOptions(node_limit=10))
+    # the pre-check settles every catalogue case, so a node limit cannot cut one short
+    case = witness_set_for("d56_k3", 2, 5, 3)
+    assert verify(case, SearchOptions(node_limit=10)).confirmed
+    # an aborted search, here one the pre-check leaves to the DFS, never confirms
+    ws = WitnessSet.from_strings(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
+    verdict = Verdict(case=case, outcome=tail_search(ws, 3, 4, SearchOptions(node_limit=10)))
     assert not verdict.confirmed
     assert not verdict.outcome.exhausted
     assert verdict.outcome.nodes_explored == 10
@@ -187,6 +208,14 @@ def test_verify_all_kmax8_extent():
     assert all(v.confirmed for v in verdicts)
 
 
+def test_dfs_alone_refutes_every_catalogue_case():
+    # the pre-check settles each case with 0 nodes; the DFS, which does not
+    # read the pre-check's verdict, must refute every one of them too
+    for verdict in verify_all(8):
+        assert verdict.confirmed and verdict.outcome.nodes_explored == 0
+        assert _dfs(verdict.case)[0] == _INFEASIBLE, verdict.to_dict()
+
+
 def test_verify_all_rejects_small_kmax():
     with pytest.raises(ValueError):
         verify_all(1)
@@ -196,8 +225,8 @@ def test_k_independence_of_d56_k3():
     verdicts = [verify(witness_set_for("d56_k3", 2, 6, k)) for k in (3, 4, 5)]
     assert all(v.confirmed for v in verdicts)
     # the embedded prefixes differ only by leading zeros, so the searches agree
-    nodes = {v.outcome.nodes_explored for v in verdicts}
-    assert len(nodes) == 1
+    assert {v.outcome.nodes_explored for v in verdicts} == {0}
+    assert {_dfs(v.case)[2] for v in verdicts} == {1451}
     assert {v.case.critical_m for v in verdicts} == {7}
 
 
@@ -239,4 +268,6 @@ def test_verify_searches_only_the_first_family():
     case = witness_set_for("d56_k3", 2, 5, 3)
     solo = tail_search(case.witness, case.critical_m, 5)
     verdict = verify(case)
-    assert verdict.outcome.nodes_explored == solo.nodes_explored == 2457
+    assert verdict.outcome == solo
+    assert verdict.outcome.nodes_explored == 0
+    assert _dfs(case) == (_INFEASIBLE, None, 2457)
