@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .search import (
     GuardLimitError,
-    SearchOptions,
     SearchOutcome,
     WitnessSet,
     full_search,
@@ -48,7 +47,6 @@ __all__ = [
     "singleton_bound",
     "table_to_csv",
     "GuardLimitError",
-    "SearchOptions",
     "SearchOutcome",
     "WitnessSet",
     "full_search",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .bounds import BoundReport, bound_report, bound_table, table_to_csv
 from .core import CodeParams
-from .search import SearchOptions, SearchOutcome, full_search, load_witness_set, tail_search
+from .search import SearchOutcome, full_search, load_witness_set, tail_search
 from .theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
 
 AD_HOC_NODE_LIMIT = 10**8
@@ -91,15 +91,6 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
         )
 
 
-def _add_search_opts(sub: argparse.ArgumentParser, default_limit: int | None) -> None:
-    sub.add_argument("--node-limit", type=int, default=default_limit, metavar="N")
-    sub.add_argument("--no-symmetry", action="store_true", help="skip symmetry breaking; same verdicts")
-
-
-def _opts_from(args: argparse.Namespace) -> SearchOptions:
-    return SearchOptions(node_limit=args.node_limit, symmetry=not args.no_symmetry)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="griesmer", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -121,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tail-len", type=int, required=True)
     p.add_argument("--prefixes", required=True, metavar="FILE")
-    _add_search_opts(p, AD_HOC_NODE_LIMIT)
+    p.add_argument("--node-limit", type=int, default=AD_HOC_NODE_LIMIT, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("search-full", help="search for a full systematic code")
@@ -129,7 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_search_opts(p, AD_HOC_NODE_LIMIT)
+    p.add_argument("--node-limit", type=int, default=AD_HOC_NODE_LIMIT, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("verify", help="verify one nonexistence case")
@@ -137,12 +128,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_search_opts(p, None)
+    p.add_argument("--node-limit", type=int, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("verify-all", help="verify every case up to --kmax")
     p.add_argument("--kmax", type=int, default=4)
-    _add_search_opts(p, None)
+    p.add_argument("--node-limit", type=int, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -161,20 +152,20 @@ def _run(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--q {args.q} disagrees with the witness file alphabet {ws.q}"
             )
-        outcome = tail_search(ws, args.tail_len, args.d, _opts_from(args))
+        outcome = tail_search(ws, args.tail_len, args.d, args.node_limit)
         _print_outcome(outcome, args.format)
         return 0 if outcome.exhausted else 2
     if args.subcommand == "search-full":
         params = CodeParams(q=args.q, n=args.n, k=args.k, d=args.d)
-        outcome = full_search(params, _opts_from(args))
+        outcome = full_search(params, args.node_limit)
         _print_outcome(outcome, args.format)
         return 0 if outcome.exhausted else 2
     if args.subcommand == "verify":
         case = witness_set_for(args.theorem, args.q, args.d, args.k)
-        verdicts = [verify(case, _opts_from(args))]
+        verdicts = [verify(case, args.node_limit)]
         _print_verdicts(verdicts, args.format, single=True)
     else:
-        verdicts = verify_all(args.kmax, _opts_from(args))
+        verdicts = verify_all(args.kmax, args.node_limit)
         _print_verdicts(verdicts, args.format, single=False)
     if any(not v.outcome.exhausted for v in verdicts):
         return 2

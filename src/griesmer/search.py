@@ -69,37 +69,22 @@ class WitnessSet:
 
 
 @dataclass(frozen=True)
-class SearchOptions:
-    """Knobs for a search run.
-
-    node_limit caps the number of attempted symbol placements; symmetry
-    toggles the DFS's canonical-form reductions: value precedence in
-    every tail column and a nonincreasing first nonzero word's tail.
-    Neither affects the pre-check, which runs first and explores no
-    nodes.
-    """
-
-    node_limit: int | None = None
-    symmetry: bool = True
-
-    def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """Result of a feasibility search.
 
-    feasible implies a witness that has been re-verified against the core
-    distance operations.  exhausted is False only when a node limit
-    aborted the run, in which case feasible=False is NOT a refutation.
+    feasible means a witness was found; it has been re-verified against
+    the core distance operations.  exhausted is False only when a node
+    limit aborted the run, in which case feasible=False is NOT a
+    refutation.
     """
 
-    feasible: bool
     witness: Code | None
     nodes_explored: int
     exhausted: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -206,7 +191,8 @@ def _backtrack(
     symbol, 1s first.  Permuting the tail columns of all words at once
     keeps every distance, and it moves whole columns, so each column
     keeps its precedence.  Every solution thus maps to one inside the
-    reduced space, and feasibility is unchanged.
+    reduced space, and feasibility is unchanged.  Searches always apply
+    them; the unreduced path is the reference the tests compare against.
 
     Every attempted symbol placement counts as one node, pruned or not.
     """
@@ -295,35 +281,39 @@ def _outcome(
     k: int,
     m: int,
     d: int,
-    opts: SearchOptions,
+    node_limit: int | None,
     systematic: bool,
 ) -> SearchOutcome:
-    """Run the pre-check, then the DFS, and make an outcome, re-checking any witness."""
+    """Run the pre-check, then the DFS, and make an outcome, re-checking any witness.
+
+    node_limit caps the DFS's attempted symbol placements; the pre-check
+    explores no nodes, so no limit can cut it short.
+    """
+    if node_limit is not None and node_limit < 1:
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
     slack, reason = _precheck(prefixes, q, m, d)
     if reason is not None:
-        return SearchOutcome(feasible=False, witness=None, nodes_explored=0, exhausted=True)
-    status, tails, nodes = _backtrack(slack, q, m, opts.node_limit, opts.symmetry)
+        return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
+    status, tails, nodes = _backtrack(slack, q, m, node_limit, symmetry=True)
     if status == _FEASIBLE:
         assert tails is not None
         witness = Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))
         _verify_witness(witness, prefixes, k, d, systematic)
-        return SearchOutcome(feasible=True, witness=witness, nodes_explored=nodes, exhausted=True)
-    return SearchOutcome(
-        feasible=False, witness=None, nodes_explored=nodes, exhausted=status == _INFEASIBLE
-    )
+        return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=True)
+    return SearchOutcome(witness=None, nodes_explored=nodes, exhausted=status == _INFEASIBLE)
 
 
-def tail_search(ws: WitnessSet, m: int, d: int, opts: SearchOptions | None = None) -> SearchOutcome:
+def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d."""
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
     prefixes = [w.symbols for w in ws.prefixes]
-    return _outcome(prefixes, ws.q, ws.k, m, d, opts or SearchOptions(), systematic=False)
+    return _outcome(prefixes, ws.q, ws.k, m, d, node_limit, systematic=False)
 
 
-def full_search(params: CodeParams, opts: SearchOptions | None = None) -> SearchOutcome:
+def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether a (q, n, k, d) systematic code exists, by exhaustive tail search.
 
     Runs the tail engine with all q**k prefixes; guarded to small q**k.
@@ -336,9 +326,7 @@ def full_search(params: CodeParams, opts: SearchOptions | None = None) -> Search
         )
     prefixes = list(product(range(params.q), repeat=params.k))
     m = params.n - params.k
-    return _outcome(
-        prefixes, params.q, params.k, m, params.d, opts or SearchOptions(), systematic=True
-    )
+    return _outcome(prefixes, params.q, params.k, m, params.d, node_limit, systematic=True)
 
 
 def naive_oracle(ws: WitnessSet, m: int, d: int) -> bool:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .bounds import griesmer_sum
 from .core import CodeParams, Word
-from .search import FULL_SEARCH_PREFIX_LIMIT, SearchOptions, SearchOutcome, WitnessSet, tail_search
+from .search import FULL_SEARCH_PREFIX_LIMIT, SearchOutcome, WitnessSet, tail_search
 # not called here; re-exported because the benchmark tracer (bench/spans.py) wraps it
 from .search import full_search  # noqa: F401
 
@@ -157,9 +157,9 @@ def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:
     return TheoremCase(theorem_id=theorem_id, params=params, witness=witness)
 
 
-def verify(case: TheoremCase, opts: SearchOptions | None = None) -> Verdict:
+def verify(case: TheoremCase, node_limit: int | None = None) -> Verdict:
     """Run the case's witness-set tail search and wrap the result in a Verdict."""
-    outcome = tail_search(case.witness, case.critical_m, case.params.d, opts)
+    outcome = tail_search(case.witness, case.critical_m, case.params.d, node_limit)
     return Verdict(case=case, outcome=outcome)
 
 
@@ -183,9 +183,8 @@ def _cases(kmax: int) -> Iterator[TheoremCase]:
             yield witness_set_for("d56_k3", 2, d, k)
 
 
-def verify_all(kmax: int = 4, opts: SearchOptions | None = None) -> list[Verdict]:
+def verify_all(kmax: int = 4, node_limit: int | None = None) -> list[Verdict]:
     """Verify every theorem family over 2 <= k <= kmax; returns all verdicts."""
     if kmax < 2:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
-    opts = opts or SearchOptions()
-    return [verify(case, opts) for case in _cases(kmax)]
+    return [verify(case, node_limit) for case in _cases(kmax)]

@@ -210,6 +210,9 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = _run(capsys, ["verify-all", "--kmax", "2", "--nondeterministic"])
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    # the DFS always applies its symmetry reductions; the switch is gone
+    code, _, err = _run(capsys, ["search-full", "--q", "2", "--n", "5", "--k", "2", "--d", "3", "--no-symmetry"])
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_deterministic_output_is_byte_identical(capsys):

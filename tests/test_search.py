@@ -9,7 +9,6 @@ from griesmer.core import CodeParams, Word, is_systematic, min_distance
 from griesmer.search import (
     FULL_SEARCH_PREFIX_LIMIT,
     GuardLimitError,
-    SearchOptions,
     WitnessSet,
     _ABORTED,
     _FEASIBLE,
@@ -22,6 +21,7 @@ from griesmer.search import (
     parse_witness_set,
     tail_search,
 )
+from griesmer.theorems import verify, witness_set_for
 
 
 def _ws(q, k, texts):
@@ -96,13 +96,20 @@ def test_witness_set_validation():
         WitnessSet(q=2, k=2, prefixes=(Word((0, 0), 3),))
 
 
-def test_search_options_validation():
-    SearchOptions()
-    SearchOptions(node_limit=1)
-    with pytest.raises(ValueError):
-        SearchOptions(node_limit=0)
-    with pytest.raises(ValueError):
-        SearchOptions(node_limit=-5)
+def test_node_limit_validation():
+    # checked before the pre-check, which would refute each search here with 0 nodes
+    ws = _ws(2, 2, ["00", "01"])
+    params = CodeParams(q=2, n=4, k=2, d=3)
+    case = witness_set_for("d56_k3", 2, 5, 3)
+    for limit in (0, -5):
+        with pytest.raises(ValueError):
+            tail_search(ws, 1, 3, node_limit=limit)
+        with pytest.raises(ValueError):
+            full_search(params, node_limit=limit)
+        with pytest.raises(ValueError):
+            verify(case, node_limit=limit)
+    assert tail_search(ws, 1, 3, node_limit=1).exhausted
+    assert full_search(params, node_limit=1).exhausted
 
 
 def test_tail_search_argument_validation():
@@ -149,7 +156,7 @@ def test_node_limit_aborts_exactly():
     ws = _ws(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
     assert _dfs(ws, 3, 4) == (_INFEASIBLE, None, 152)
-    out = tail_search(ws, 3, 4, SearchOptions(node_limit=100))
+    out = tail_search(ws, 3, 4, node_limit=100)
     assert not out.feasible
     assert not out.exhausted
     assert out.nodes_explored == 100
@@ -159,7 +166,7 @@ def test_node_limit_aborts_exactly():
 def test_node_limit_large_enough_matches_unlimited():
     ws = _ws(2, 2, ["00", "01", "10"])
     free = tail_search(ws, 3, 3)
-    capped = tail_search(ws, 3, 3, SearchOptions(node_limit=10**6))
+    capped = tail_search(ws, 3, 3, node_limit=10**6)
     assert capped == free
 
 
@@ -173,7 +180,7 @@ def test_node_limit_boundary(q, n, k, d):
     assert _dfs(ws, n - k, d, node_limit=n_free) == free
     assert _dfs(ws, n - k, d, node_limit=n_free - 1) == (_ABORTED, None, n_free - 1)
     # a limit the DFS needs is enough for the outcome, which the pre-check may settle first
-    out = full_search(CodeParams(q=q, n=n, k=k, d=d), SearchOptions(node_limit=n_free))
+    out = full_search(CodeParams(q=q, n=n, k=k, d=d), node_limit=n_free)
     assert out.exhausted and out.feasible is (status == _FEASIBLE)
     assert out.nodes_explored in (0, n_free)
 
@@ -214,9 +221,9 @@ def test_oracle_equivalence_small_grid():
                 for m in range(0, 3):
                     for d in range(1, 4):
                         want = naive_oracle(ws, m, d)
-                        for symmetry in (True, False):
-                            got = tail_search(ws, m, d, SearchOptions(symmetry=symmetry)).feasible
-                            assert got == want, (q, k, ws.prefixes, m, d, symmetry)
+                        got = tail_search(ws, m, d).feasible
+                        plain = _dfs(ws, m, d, symmetry=False)[0] == _FEASIBLE
+                        assert got == plain == want, (q, k, ws.prefixes, m, d)
 
 
 def test_four_word_refutation_matches_oracle():
@@ -255,18 +262,20 @@ def test_symmetry_flags_individually_preserve_feasibility():
 
 
 def test_symmetry_option_preserves_feasibility():
+    # searches always apply the reductions; the unreduced DFS is the reference
     rng = random.Random(7)
     for _ in range(200):
         ws = _random_witness_set(rng)
         m = rng.randint(0, 3)
         d = rng.randint(1, 4)
-        with_sym = tail_search(ws, m, d, SearchOptions(symmetry=True))
-        without = tail_search(ws, m, d, SearchOptions(symmetry=False))
-        assert with_sym.feasible == without.feasible, (ws.prefixes, m, d)
-        assert with_sym.exhausted and without.exhausted
-        if not with_sym.feasible:
+        out = tail_search(ws, m, d)
+        reduced = _dfs(ws, m, d, symmetry=True)
+        plain = _dfs(ws, m, d, symmetry=False)
+        assert out.exhausted and _ABORTED not in (reduced[0], plain[0])
+        assert out.feasible == (reduced[0] == _FEASIBLE) == (plain[0] == _FEASIBLE), (ws.prefixes, m, d)
+        if not out.feasible:
             # a full refutation explores a subtree of the unreduced tree
-            assert with_sym.nodes_explored <= without.nodes_explored
+            assert out.nodes_explored <= reduced[2] <= plain[2], (ws.prefixes, m, d)
 
 
 @pytest.mark.parametrize("q, k, r, m", [(3, 2, 4, 3), (3, 2, 5, 2), (4, 2, 4, 2)])
@@ -460,13 +469,24 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
     # the pinned search order fixes the DFS's node counts and the first
     # witness found; every refutation here is the pre-check's, with 0 nodes
-    out = full_search(CodeParams(q=q, n=n, k=k, d=d), SearchOptions(symmetry=symmetry))
+    out = full_search(CodeParams(q=q, n=n, k=k, d=d))
     assert out.exhausted
     assert out.feasible is (witness is not None)
-    assert out.nodes_explored == (nodes if out.feasible else 0)
-    assert out.to_dict().get("witness") == witness
+    if out.feasible and symmetry:
+        assert out.nodes_explored == nodes
+        assert out.to_dict()["witness"] == witness
+        return
     if not out.feasible:
-        assert _dfs(_all_prefixes(q, k), n - k, d, symmetry) == (_INFEASIBLE, None, nodes)
+        assert out.nodes_explored == 0
+    # searches always apply the reductions, so the rows without them, and
+    # every refutation, pin the DFS alone
+    ws = _all_prefixes(q, k)
+    _, tails, explored = _dfs(ws, n - k, d, symmetry)
+    assert explored == nodes
+    found = None if tails is None else [
+        str(p) + "".join(map(str, t)) for p, t in zip(ws.prefixes, tails)
+    ]
+    assert found == witness
 
 
 def test_full_search_guard():

@@ -1,11 +1,12 @@
 """Theorem cases, verdicts, and the verification driver."""
 
+from itertools import combinations
+
 import pytest
 
 from griesmer.bounds import griesmer_sum
 from griesmer.core import CodeParams
 from griesmer.search import (
-    SearchOptions,
     WitnessSet,
     _INFEASIBLE,
     _backtrack,
@@ -17,6 +18,7 @@ from griesmer.theorems import (
     THEOREM_IDS,
     TheoremCase,
     Verdict,
+    _cases,
     verify,
     verify_all,
     witness_set_for,
@@ -171,10 +173,10 @@ def test_verdict_serialization():
 def test_node_limited_verify_is_never_confirmed():
     # the pre-check settles every catalogue case, so a node limit cannot cut one short
     case = witness_set_for("d56_k3", 2, 5, 3)
-    assert verify(case, SearchOptions(node_limit=10)).confirmed
+    assert verify(case, node_limit=10).confirmed
     # an aborted search, here one the pre-check leaves to the DFS, never confirms
     ws = WitnessSet.from_strings(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
-    verdict = Verdict(case=case, outcome=tail_search(ws, 3, 4, SearchOptions(node_limit=10)))
+    verdict = Verdict(case=case, outcome=tail_search(ws, 3, 4, node_limit=10))
     assert not verdict.confirmed
     assert not verdict.outcome.exhausted
     assert verdict.outcome.nodes_explored == 10
@@ -221,13 +223,41 @@ def test_verify_all_rejects_small_kmax():
         verify_all(1)
 
 
-def test_k_independence_of_d56_k3():
-    verdicts = [verify(witness_set_for("d56_k3", 2, 6, k)) for k in (3, 4, 5)]
+def _cases_by_family(kmax):
+    """The catalogue's cases up to kmax, grouped by (theorem id, q, d)."""
+    groups = {}
+    for case in _cases(kmax):
+        groups.setdefault((case.theorem_id, case.params.q, case.params.d), []).append(case)
+    return groups
+
+
+_FAMILIES = _cases_by_family(12)
+
+
+def _distances(case):
+    words = [w.symbols for w in case.witness.prefixes]
+    return tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
+
+
+@pytest.mark.parametrize("theorem_id, q, d", list(_FAMILIES))
+def test_k_independence_of_every_family(theorem_id, q, d):
+    # a larger k only adds leading zeros to the prefixes, and the critical
+    # tail length stays put once q**k >= d; the search reads the prefixes
+    # only through their distances, so every k gets the same search, which
+    # the pre-check refutes, and no node limit can cut a case short
+    cases = _FAMILIES[theorem_id, q, d]
+    assert len({_distances(c) for c in cases}) == 1
+    assert len({c.critical_m for c in cases}) == 1
+    reasons = {
+        _precheck([w.symbols for w in c.witness.prefixes], q, c.critical_m, d)[1] for c in cases
+    }
+    assert len(reasons) == 1 and None not in reasons
+    verdicts = [verify(c) for c in cases]
     assert all(v.confirmed for v in verdicts)
-    # the embedded prefixes differ only by leading zeros, so the searches agree
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
-    assert {_dfs(v.case)[2] for v in verdicts} == {1451}
-    assert {v.case.critical_m for v in verdicts} == {7}
+    if (theorem_id, d) == ("d56_k3", 6):
+        assert {_dfs(c)[2] for c in cases} == {1451}
+        assert {c.critical_m for c in cases} == {7}
 
 
 def test_witness_set_sufficiency():
