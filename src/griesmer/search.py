@@ -163,8 +163,9 @@ def _backtrack(
     left[i][j] holds the agreements words i and j may still afford,
     starting at slack.  A placement that agrees with an earlier word
     whose left is 0 is pruned; an accepted one spends one agreement per
-    word it agrees with, and undoing it refunds them.  The prune is exact
-    because every other open column can still be made to disagree.
+    word it agrees with, and undoing it refunds them.  This pairwise
+    prune is exact: every other open column can still be made to
+    disagree with that one word.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     the prune, the spend and the refund visit only the rows that agree.
@@ -194,6 +195,30 @@ def _backtrack(
     reduced space, and feasibility is unchanged.  Searches always apply
     them; the unreduced path is the reference the tests compare against.
 
+    triple adds, for q = 2, a budget on the agreements that word i
+    shares with two earlier words a < b.  Let D(a, b) be their tail
+    distance.  In a binary column where a and b differ, word i agrees
+    with exactly one of them; where they agree, with both or neither.
+    So A_a + A_b = D(a, b) + 2E, where A_a and A_b count the columns in
+    which word i agrees with a and with b, and E those in which it
+    agrees with both.  As A_a <= slack[i][a] and A_b <= slack[i][b],
+    E <= (slack[i][a] + slack[i][b] - D(a, b)) // 2.  shared[i][b][a]
+    starts at that bound: a placement that agrees with both a and b
+    while it is 0 is pruned, an accepted one spends one per pair of rows
+    it agrees with, and undoing it refunds them, so the table is back at
+    its start once word i is undone.  Word i + 1's table is built when
+    word i's last column is placed, from D rows kept one per completed
+    word (bit masks of the tails); a negative entry leaves word i + 1 no
+    tail, so that placement is pruned.  Unlike the pairwise prune this
+    one is not exact, but every solution meets the bound, so it removes
+    only subtrees that hold no solution: the first solution found, and
+    so every outcome and witness, stays the same, and only the node
+    count falls.  Each placement costs O(|agree|^2), so the budget is
+    kept only when r <= 2m: word i's table, i(i-1)/2 entries, is then no
+    larger than the i*m cells above it, and wide searches stay on the
+    pairwise budget alone.  It needs symmetry, so the unreduced path
+    stays the pairwise-only reference.
+
     Every attempted symbol placement counts as one node, pruned or not.
     """
     r = len(slack)
@@ -205,8 +230,12 @@ def _backtrack(
         return _FEASIBLE, tails, 0
 
     precede = symmetry and q > 2
+    triple = symmetry and q == 2 and r <= 2 * m
     top = [[0] * m for _ in range(r)]
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
+    masks = [0] * r
+    dist: list[list[int]] = [[] for _ in range(r)]
+    shared: list[list[list[int]]] = [[] for _ in range(r)]
     limit = sys.maxsize if node_limit is None else node_limit
     total = (r - 1) * m
     nodes = 0
@@ -223,6 +252,8 @@ def _backtrack(
             agree.pop()
             for j in agree:
                 left_i[j] += 1
+            if triple:
+                _spend_shared(shared[i], agree, 1)
         hi = q - 1
         if precede:
             t = top[i - 1][c]
@@ -239,6 +270,23 @@ def _backtrack(
                 if not left_i[j]:
                     break
             else:
+                if triple:
+                    if _shared_spent(shared[i], agree):
+                        continue
+                    if c == m - 1 and i + 1 < r:
+                        mask = s
+                        for x in tails_i[-2::-1]:
+                            mask = mask << 1 | x
+                        masks[i] = mask
+                        dist[i] = [(mask ^ y).bit_count() for y in masks[:i]]
+                        left_n = left[i + 1]
+                        shared[i + 1] = table = [
+                            [(left_n[a] + left_n[b] - dist[b][a]) // 2 for a in range(b)]
+                            for b in range(i + 1)
+                        ]
+                        if any(x < 0 for row in table for x in row):
+                            continue
+                    _spend_shared(shared[i], agree, -1)
                 for j in agree:
                     left_i[j] -= 1
                 agree.append(i)
@@ -254,6 +302,24 @@ def _backtrack(
             p -= 1
             if p < 0:
                 return _INFEASIBLE, None, nodes
+
+
+def _shared_spent(shared_i: list[list[int]], agree: list[int]) -> bool:
+    """Whether two of the rows in agree leave word i no shared agreement."""
+    for x in range(1, len(agree)):
+        row = shared_i[agree[x]]
+        for a in agree[:x]:
+            if not row[a]:
+                return True
+    return False
+
+
+def _spend_shared(shared_i: list[list[int]], agree: list[int], step: int) -> None:
+    """Add step to word i's shared budget of every pair of rows in agree."""
+    for x in range(1, len(agree)):
+        row = shared_i[agree[x]]
+        for a in agree[:x]:
+            row[a] += step
 
 
 def _verify_witness(

@@ -152,14 +152,14 @@ def test_witness_keeps_zero_tail_on_zero_prefix():
 
 
 def test_node_limit_aborts_exactly():
-    # the pre-check leaves this refutation to the DFS, which needs 152 nodes
+    # the pre-check leaves this refutation to the DFS, which needs 98 nodes
     ws = _ws(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
-    assert _dfs(ws, 3, 4) == (_INFEASIBLE, None, 152)
-    out = tail_search(ws, 3, 4, node_limit=100)
+    assert _dfs(ws, 3, 4) == (_INFEASIBLE, None, 98)
+    out = tail_search(ws, 3, 4, node_limit=97)
     assert not out.feasible
     assert not out.exhausted
-    assert out.nodes_explored == 100
+    assert out.nodes_explored == 97
     assert out.witness is None
 
 
@@ -294,6 +294,75 @@ def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
             assert (reduced[0] == _FEASIBLE) == (plain[0] == _FEASIBLE) == want, (ws.prefixes, m, d)
             if not want:
                 assert reduced[2] <= plain[2], (ws.prefixes, m, d)
+
+
+def _check_against_unreduced(ws, m, d):
+    """Reduced and unreduced DFS agree; a reduced refutation visits no more nodes."""
+    reduced = _dfs(ws, m, d, True)
+    plain = _dfs(ws, m, d, False)
+    assert _ABORTED not in (reduced[0], plain[0])
+    feasible = reduced[0] == _FEASIBLE
+    assert feasible == (plain[0] == _FEASIBLE), (ws.prefixes, m, d)
+    if not feasible:
+        assert reduced[2] <= plain[2], (ws.prefixes, m, d)
+    return feasible, reduced[2]
+
+
+def test_shared_budget_matches_references_exhaustive():
+    # every binary witness set of up to six prefixes with k <= 3 (up to
+    # equal distance matrices), every m <= 5 and every d <= m + k (a larger
+    # d leaves a negative slack); the three-word budget applies wherever
+    # r >= 3 and r <= 2m
+    total = 0
+    for k in (1, 2, 3):
+        for r in range(2, min(6, 2**k) + 1):
+            for ws in _distinct_witness_sets(2, k, r):
+                for m in range(6):
+                    for d in range(1, m + k + 1):
+                        feasible, nodes = _check_against_unreduced(ws, m, d)
+                        if 2 ** (m * (r - 1)) <= 2**10:
+                            assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+                        total += nodes
+    # a looser budget changes no verdict, only this total
+    assert total == 22496
+
+
+def test_shared_budget_matches_unreduced_random():
+    # up to ten prefixes, always with r <= 2m so that the budget applies
+    rng = random.Random(83)
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        pool = list(product(range(2), repeat=k))
+        r = rng.randint(3, min(10, len(pool)))
+        others = rng.sample(pool[1:], r - 1)
+        ws = WitnessSet(q=2, k=k, prefixes=tuple(Word(t, 2) for t in [pool[0]] + others))
+        m = rng.randint((r + 1) // 2, max(5, (r + 1) // 2))
+        d = rng.randint(2, m + k)
+        _check_against_unreduced(ws, m, d)
+
+
+@pytest.mark.parametrize(
+    "n, k, d, nodes",
+    [
+        # r > 2m: the gate keeps these wide searches on the pairwise budget
+        (11, 8, 2, 895),
+        (12, 7, 3, 2457),
+        # r = 32 <= 2m = 32
+        (21, 5, 9, 6848),
+    ],
+)
+def test_shared_budget_gate(n, k, d, nodes):
+    out = full_search(CodeParams(q=2, n=n, k=k, d=d))
+    assert out.feasible and out.nodes_explored == nodes
+
+
+def test_shared_budget_decides_a_k5_control():
+    # a witness the pairwise budget alone does not reach in 400,000 nodes
+    out = full_search(CodeParams(q=2, n=26, k=5, d=12), node_limit=100_000)
+    assert out.feasible and out.exhausted
+    assert out.nodes_explored == 18459
+    assert min_distance(out.witness) >= 12
+    assert is_systematic(out.witness, 5)
 
 
 @pytest.mark.parametrize("q, k, rmax, mmax", [(2, 3, 5, 4), (3, 2, 4, 3)])
@@ -436,7 +505,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 @pytest.mark.parametrize(
     "q, n, k, d, symmetry, nodes, witness",
     [
-        (2, 18, 4, 9, True, 67756, [
+        (2, 18, 4, 9, True, 2940, [
             "000000000000000000", "000111111111000000", "001000000011111111",
             "001100111100001111", "010001011100110011", "010101100101111100",
             "011011011010011100", "011111100010100011", "100010101110110101",
@@ -444,7 +513,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "110000111011101010", "110110000110001110", "111001101001000101",
             "111100010111010001",
         ]),
-        (2, 9, 3, 5, True, 2457, None),
+        (2, 9, 3, 5, True, 621, None),
         (3, 4, 2, 3, True, 37, _TETRACODE),
         (2, 7, 3, 4, False, 64, [
             "0000000", "0010111", "0101011", "0111100",

@@ -256,7 +256,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(c)[2] for c in cases} == {1451}
+        assert {_dfs(c)[2] for c in cases} == {365}
         assert {c.critical_m for c in cases} == {7}
 
 
@@ -300,4 +300,4 @@ def test_verify_searches_only_the_first_family():
     verdict = verify(case)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs(case) == (_INFEASIBLE, None, 2457)
+    assert _dfs(case) == (_INFEASIBLE, None, 621)
