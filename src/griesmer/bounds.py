@@ -11,16 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def _check_q_d(q: int, d: int) -> None:
+def griesmer_term(q: int, j: int, d: int) -> int:
+    """ceil(d / q**j), without materializing powers beyond d."""
     if q < 2:
         raise ValueError(f"alphabet size must be at least 2, got {q}")
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
-
-
-def griesmer_term(q: int, j: int, d: int) -> int:
-    """ceil(d / q**j), without materializing powers beyond d."""
-    _check_q_d(q, d)
     if j < 0:
         raise ValueError(f"term index must be nonnegative, got {j}")
     power = 1
@@ -33,18 +29,15 @@ def griesmer_term(q: int, j: int, d: int) -> int:
 
 def griesmer_sum(q: int, k: int, d: int) -> int:
     """Sum of ceil(d / q**j) for j in [0, k): the minimum admissible length."""
-    _check_q_d(q, d)
     if k < 1:
         raise ValueError(f"message length must be at least 1, got {k}")
     total = 0
-    power = 1
     for j in range(k):
-        if power >= d:
+        term = griesmer_term(q, j, d)
+        if term == 1:
             # every remaining term is 1
-            total += k - j
-            break
-        total += (d + power - 1) // power
-        power *= q
+            return total + k - j
+        total += term
     return total
 
 

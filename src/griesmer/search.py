@@ -27,8 +27,6 @@ from .core import Code, CodeParams, Word, is_systematic, min_distance
 FULL_SEARCH_PREFIX_LIMIT = 4096
 ORACLE_ASSIGNMENT_LIMIT = 2**24
 
-_FEASIBLE, _INFEASIBLE, _ABORTED = 0, 1, 2
-
 
 class GuardLimitError(ValueError):
     """An instance exceeds a hard size guard."""
@@ -148,8 +146,11 @@ def _backtrack(
     m: int,
     node_limit: int | None,
     symmetry: bool,
-) -> tuple[int, list[list[int]] | None, int]:
-    """Column-by-column DFS over tail assignments; returns (status, tails, nodes).
+) -> tuple[list[list[int]] | None, int, bool]:
+    """Column-by-column DFS over tail assignments; returns (tails, nodes, exhausted).
+
+    tails is the first solution found, or None; exhausted is False only
+    when node_limit aborted the run, as in SearchOutcome.
 
     slack is the table _precheck builds, one row per word; the search
     spends it in place as left, so a table serves one call.  The search
@@ -178,11 +179,12 @@ def _backtrack(
     word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
     nonzero symbol first appears in a column only after every smaller
     one has appeared above it; for word 1 the bound is 1.  Order: the
-    first nonzero word's tail is nonincreasing.  top[i][c] holds the
-    running maximum of column c down to word i; it is written when a
-    symbol is accepted and read only at word i + 1, which the search
-    reaches only after that write, so undoing needs no bookkeeping.
-    With q = 2 the bound never binds and top is left alone.
+    first nonzero word's tail is nonincreasing.  As holders[c] holds
+    only rows above i, the symbols above i in column c are those whose
+    list is nonempty; by precedence they are 0..t with no gap, so the
+    bound starts at q - 1 and drops until the symbol below it has a
+    nonempty list.  holders[c][0] always holds the zero word, so with
+    q = 2 the bound never binds.
 
     Soundness: an alphabet bijection fixing 0, applied to one tail
     column, keeps every distance and keeps the zero word's zero tail.
@@ -207,11 +209,12 @@ def _backtrack(
     while it is 0 is pruned, an accepted one spends one per pair of rows
     it agrees with, and undoing it refunds them, so the table is back at
     its start once word i is undone.  Word i + 1's table is built when
-    word i's last column is placed, from D rows kept one per completed
-    word (bit masks of the tails); a negative entry leaves word i + 1 no
-    tail, so that placement is pruned.  Unlike the pairwise prune this
-    one is not exact, but every solution meets the bound, so it removes
-    only subtrees that hold no solution: the first solution found, and
+    word i's last column is placed, from dist[b][a] = D(a, b), one row
+    counted from tails as each word is completed and kept while that
+    word stays placed; a negative entry leaves word i + 1 no tail, so
+    that placement is pruned.  Unlike the pairwise prune this one is
+    not exact, but every solution meets the bound, so it removes only
+    subtrees that hold no solution: the first solution found, and
     so every outcome and witness, stays the same, and only the node
     count falls.  Each placement costs O(|agree|^2), so the budget is
     kept only when r <= 2m: word i's table, i(i-1)/2 entries, is then no
@@ -223,17 +226,14 @@ def _backtrack(
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
-        return _INFEASIBLE, None, 0
+        return None, 0, True
     left = slack
     tails = [[0] * m] + [[-1] * m for _ in range(r - 1)]
     if r <= 1 or m == 0:
-        return _FEASIBLE, tails, 0
+        return tails, 0, True
 
-    precede = symmetry and q > 2
     triple = symmetry and q == 2 and r <= 2 * m
-    top = [[0] * m for _ in range(r)]
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
-    masks = [0] * r
     dist: list[list[int]] = [[] for _ in range(r)]
     shared: list[list[list[int]]] = [[] for _ in range(r)]
     limit = sys.maxsize if node_limit is None else node_limit
@@ -255,15 +255,14 @@ def _backtrack(
             if triple:
                 _spend_shared(shared[i], agree, 1)
         hi = q - 1
-        if precede:
-            t = top[i - 1][c]
-            if t < hi:
-                hi = t + 1
-        if i == 1 and symmetry and c > 0 and tails_i[c - 1] < hi:
-            hi = tails_i[c - 1]
+        if symmetry:
+            while hi > 1 and not col[hi - 1]:
+                hi -= 1
+            if i == 1 and c > 0 and tails_i[c - 1] < hi:
+                hi = tails_i[c - 1]
         for s in range(prev + 1, hi + 1):
             if nodes >= limit:
-                return _ABORTED, None, nodes
+                return None, nodes, False
             nodes += 1
             agree = col[s]
             for j in agree:
@@ -274,11 +273,8 @@ def _backtrack(
                     if _shared_spent(shared[i], agree):
                         continue
                     if c == m - 1 and i + 1 < r:
-                        mask = s
-                        for x in tails_i[-2::-1]:
-                            mask = mask << 1 | x
-                        masks[i] = mask
-                        dist[i] = [(mask ^ y).bit_count() for y in masks[:i]]
+                        word = tails_i[:c] + [s]
+                        dist[i] = [sum(x != y for x, y in zip(word, t)) for t in tails[:i]]
                         left_n = left[i + 1]
                         shared[i + 1] = table = [
                             [(left_n[a] + left_n[b] - dist[b][a]) // 2 for a in range(b)]
@@ -291,17 +287,15 @@ def _backtrack(
                     left_i[j] -= 1
                 agree.append(i)
                 tails_i[c] = s
-                if precede:
-                    top[i][c] = s if s > t else t
                 p += 1
                 if p == total:
-                    return _FEASIBLE, tails, nodes
+                    return tails, nodes, True
                 break
         else:
             tails_i[c] = -1
             p -= 1
             if p < 0:
-                return _INFEASIBLE, None, nodes
+                return None, nodes, True
 
 
 def _shared_spent(shared_i: list[list[int]], agree: list[int]) -> bool:
@@ -360,13 +354,12 @@ def _outcome(
     slack, reason = _precheck(prefixes, q, m, d)
     if reason is not None:
         return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    status, tails, nodes = _backtrack(slack, q, m, node_limit, symmetry=True)
-    if status == _FEASIBLE:
-        assert tails is not None
+    tails, nodes, exhausted = _backtrack(slack, q, m, node_limit, symmetry=True)
+    witness = None
+    if tails is not None:
         witness = Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))
         _verify_witness(witness, prefixes, k, d, systematic)
-        return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=True)
-    return SearchOutcome(witness=None, nodes_explored=nodes, exhausted=status == _INFEASIBLE)
+    return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)
 
 
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:

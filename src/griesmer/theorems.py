@@ -96,12 +96,8 @@ class Verdict:
 
 
 def _embedded(q: int, k: int, patterns: tuple[tuple[int, ...], ...]) -> WitnessSet:
-    words = []
-    for pat in patterns:
-        if len(pat) > k:
-            raise ValueError(f"pattern {pat} does not fit in {k} positions")
-        words.append(Word((0,) * (k - len(pat)) + pat, q))
-    return WitnessSet(q=q, k=k, prefixes=tuple(words))
+    words = tuple(Word((0,) * (k - len(pat)) + pat, q) for pat in patterns)
+    return WitnessSet(q=q, k=k, prefixes=words)
 
 
 def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:

@@ -10,9 +10,6 @@ from griesmer.search import (
     FULL_SEARCH_PREFIX_LIMIT,
     GuardLimitError,
     WitnessSet,
-    _ABORTED,
-    _FEASIBLE,
-    _INFEASIBLE,
     _backtrack,
     _precheck,
     full_search,
@@ -155,7 +152,7 @@ def test_node_limit_aborts_exactly():
     # the pre-check leaves this refutation to the DFS, which needs 98 nodes
     ws = _ws(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
-    assert _dfs(ws, 3, 4) == (_INFEASIBLE, None, 98)
+    assert _dfs(ws, 3, 4) == (None, 98, True)
     out = tail_search(ws, 3, 4, node_limit=97)
     assert not out.feasible
     assert not out.exhausted
@@ -175,13 +172,13 @@ def test_node_limit_boundary(q, n, k, d):
     # a limit of exactly N reproduces the unlimited DFS; N - 1 aborts there
     ws = _all_prefixes(q, k)
     free = _dfs(ws, n - k, d)
-    status, _, n_free = free
-    assert status != _ABORTED and n_free > 1
+    tails, n_free, exhausted = free
+    assert exhausted and n_free > 1
     assert _dfs(ws, n - k, d, node_limit=n_free) == free
-    assert _dfs(ws, n - k, d, node_limit=n_free - 1) == (_ABORTED, None, n_free - 1)
+    assert _dfs(ws, n - k, d, node_limit=n_free - 1) == (None, n_free - 1, False)
     # a limit the DFS needs is enough for the outcome, which the pre-check may settle first
     out = full_search(CodeParams(q=q, n=n, k=k, d=d), node_limit=n_free)
-    assert out.exhausted and out.feasible is (status == _FEASIBLE)
+    assert out.exhausted and out.feasible is (tails is not None)
     assert out.nodes_explored in (0, n_free)
 
 
@@ -222,7 +219,7 @@ def test_oracle_equivalence_small_grid():
                     for d in range(1, 4):
                         want = naive_oracle(ws, m, d)
                         got = tail_search(ws, m, d).feasible
-                        plain = _dfs(ws, m, d, symmetry=False)[0] == _FEASIBLE
+                        plain = _dfs(ws, m, d, symmetry=False)[0] is not None
                         assert got == plain == want, (q, k, ws.prefixes, m, d)
 
 
@@ -256,8 +253,8 @@ def test_symmetry_flags_individually_preserve_feasibility():
         ws = _random_witness_set(rng)
         m = rng.randint(0, 3)
         d = rng.randint(1, 4)
-        reduced = _dfs(ws, m, d, True)[0] == _FEASIBLE
-        plain = _dfs(ws, m, d, False)[0] == _FEASIBLE
+        reduced = _dfs(ws, m, d, True)[0] is not None
+        plain = _dfs(ws, m, d, False)[0] is not None
         assert reduced == plain == naive_oracle(ws, m, d), (ws.prefixes, m, d)
 
 
@@ -271,11 +268,11 @@ def test_symmetry_option_preserves_feasibility():
         out = tail_search(ws, m, d)
         reduced = _dfs(ws, m, d, symmetry=True)
         plain = _dfs(ws, m, d, symmetry=False)
-        assert out.exhausted and _ABORTED not in (reduced[0], plain[0])
-        assert out.feasible == (reduced[0] == _FEASIBLE) == (plain[0] == _FEASIBLE), (ws.prefixes, m, d)
+        assert out.exhausted and reduced[2] and plain[2]
+        assert out.feasible == (reduced[0] is not None) == (plain[0] is not None), (ws.prefixes, m, d)
         if not out.feasible:
             # a full refutation explores a subtree of the unreduced tree
-            assert out.nodes_explored <= reduced[2] <= plain[2], (ws.prefixes, m, d)
+            assert out.nodes_explored <= reduced[1] <= plain[1], (ws.prefixes, m, d)
 
 
 @pytest.mark.parametrize("q, k, r, m", [(3, 2, 4, 3), (3, 2, 5, 2), (4, 2, 4, 2)])
@@ -291,21 +288,21 @@ def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
             # the DFS alone, so that cases the pre-check settles still test it
             reduced = _dfs(ws, m, d, True)
             plain = _dfs(ws, m, d, False)
-            assert (reduced[0] == _FEASIBLE) == (plain[0] == _FEASIBLE) == want, (ws.prefixes, m, d)
+            assert (reduced[0] is not None) == (plain[0] is not None) == want, (ws.prefixes, m, d)
             if not want:
-                assert reduced[2] <= plain[2], (ws.prefixes, m, d)
+                assert reduced[1] <= plain[1], (ws.prefixes, m, d)
 
 
 def _check_against_unreduced(ws, m, d):
     """Reduced and unreduced DFS agree; a reduced refutation visits no more nodes."""
     reduced = _dfs(ws, m, d, True)
     plain = _dfs(ws, m, d, False)
-    assert _ABORTED not in (reduced[0], plain[0])
-    feasible = reduced[0] == _FEASIBLE
-    assert feasible == (plain[0] == _FEASIBLE), (ws.prefixes, m, d)
+    assert reduced[2] and plain[2]
+    feasible = reduced[0] is not None
+    assert feasible == (plain[0] is not None), (ws.prefixes, m, d)
     if not feasible:
-        assert reduced[2] <= plain[2], (ws.prefixes, m, d)
-    return feasible, reduced[2]
+        assert reduced[1] <= plain[1], (ws.prefixes, m, d)
+    return feasible, reduced[1]
 
 
 def test_shared_budget_matches_references_exhaustive():
@@ -379,7 +376,7 @@ def test_precheck_refutes_only_infeasible_searches_exhaustive(q, k, rmax, mmax):
                     if reason is None:
                         continue
                     kinds.add(reason[0])
-                    assert _dfs(ws, m, d)[0] == _INFEASIBLE, (ws.prefixes, m, d, reason)
+                    assert _dfs(ws, m, d)[0] is None, (ws.prefixes, m, d, reason)
                     if q ** (m * (r - 1)) <= 2**10:
                         assert naive_oracle(ws, m, d) is False, (ws.prefixes, m, d, reason)
     assert kinds == ({"pair", "average", "parity"} if q == 2 else {"pair", "average"})
@@ -399,7 +396,7 @@ def test_precheck_refutes_only_infeasible_searches_random():
         d = rng.randint(1, m + k)
         reason = _precheck([w.symbols for w in ws.prefixes], q, m, d)[1]
         if reason is not None:
-            assert _dfs(ws, m, d)[0] == _INFEASIBLE, (ws.prefixes, m, d, reason)
+            assert _dfs(ws, m, d)[0] is None, (ws.prefixes, m, d, reason)
             if q ** (m * (r - 1)) <= 2**10:
                 assert naive_oracle(ws, m, d) is False, (ws.prefixes, m, d, reason)
 
@@ -533,6 +530,17 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "2100221111022200", "2111000211200210", "2121012100220101",
             "2201020002122211", "2211101102001022", "2221222010001110",
         ]),
+        (4, 7, 2, 5, True, 500, [
+            "0000000", "0111110", "0201221", "0302132", "1001312", "1100123",
+            "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
+            "3012022", "3120202", "3221030", "3322313",
+        ]),
+        (4, 7, 2, 5, False, 1443, [
+            "0000000", "0101111", "0202222", "0303333", "1010112", "1111003",
+            "1212330", "1313221", "2020223", "2121332", "2222001", "2323110",
+            "3030331", "3131220", "3232113", "3333002",
+        ]),
+        (4, 6, 2, 5, True, 100, None),
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
@@ -550,7 +558,7 @@ def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
     # searches always apply the reductions, so the rows without them, and
     # every refutation, pin the DFS alone
     ws = _all_prefixes(q, k)
-    _, tails, explored = _dfs(ws, n - k, d, symmetry)
+    tails, explored, _ = _dfs(ws, n - k, d, symmetry)
     assert explored == nodes
     found = None if tails is None else [
         str(p) + "".join(map(str, t)) for p, t in zip(ws.prefixes, tails)

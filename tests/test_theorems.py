@@ -8,7 +8,6 @@ from griesmer.bounds import griesmer_sum
 from griesmer.core import CodeParams
 from griesmer.search import (
     WitnessSet,
-    _INFEASIBLE,
     _backtrack,
     _precheck,
     full_search,
@@ -215,7 +214,7 @@ def test_dfs_alone_refutes_every_catalogue_case():
     # read the pre-check's verdict, must refute every one of them too
     for verdict in verify_all(8):
         assert verdict.confirmed and verdict.outcome.nodes_explored == 0
-        assert _dfs(verdict.case)[0] == _INFEASIBLE, verdict.to_dict()
+        assert _dfs(verdict.case)[0] is None, verdict.to_dict()
 
 
 def test_verify_all_rejects_small_kmax():
@@ -256,7 +255,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(c)[2] for c in cases} == {365}
+        assert {_dfs(c)[1] for c in cases} == {365}
         assert {c.critical_m for c in cases} == {7}
 
 
@@ -300,4 +299,4 @@ def test_verify_searches_only_the_first_family():
     verdict = verify(case)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs(case) == (_INFEASIBLE, None, 621)
+    assert _dfs(case) == (None, 621, True)
