@@ -163,10 +163,9 @@ def _run(args: argparse.Namespace) -> int:
     if args.subcommand == "verify":
         case = witness_set_for(args.theorem, args.q, args.d, args.k)
         verdicts = [verify(case, args.node_limit)]
-        _print_verdicts(verdicts, args.format, single=True)
     else:
         verdicts = verify_all(args.kmax, args.node_limit)
-        _print_verdicts(verdicts, args.format, single=False)
+    _print_verdicts(verdicts, args.format, single=args.subcommand == "verify")
     if any(not v.outcome.exhausted for v in verdicts):
         return 2
     return 0 if all(v.confirmed for v in verdicts) else 1

@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class CodeParams:
             raise ValueError(f"distance {self.d} outside [1, n={self.n}]")
 
 
+@dataclass(frozen=True)
 class Code:
     """An immutable collection of distinct equal-length words over one alphabet.
 
@@ -82,14 +83,14 @@ class Code:
     construction order.
     """
 
-    __slots__ = ("_words", "_q", "_length")
+    words: tuple[Word, ...]
 
-    def __init__(self, words: Iterable[Word]) -> None:
-        ordered = sorted(words, key=lambda w: w.symbols)
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.words, key=lambda w: w.symbols))
+        object.__setattr__(self, "words", ordered)
         if not ordered:
             raise ValueError("a code needs at least one word")
-        q = ordered[0].q
-        length = ordered[0].length
+        q, length = ordered[0].q, ordered[0].length
         for w in ordered:
             if w.q != q:
                 raise ValueError(f"words of one code must share the alphabet: {w.q} != {q}")
@@ -98,44 +99,23 @@ class Code:
         for a, b in zip(ordered, ordered[1:]):
             if a.symbols == b.symbols:
                 raise ValueError(f"duplicate word {a}")
-        self._words = tuple(ordered)
-        self._q = q
-        self._length = length
-
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return self._words
 
     @property
     def q(self) -> int:
-        return self._q
+        return self.words[0].q
 
     @property
     def length(self) -> int:
-        return self._length
+        return self.words[0].length
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self._words)
+        return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self.words)
 
     def __contains__(self, item: object) -> bool:
-        return isinstance(item, Word) and item in self._words
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Code):
-            return NotImplemented
-        return self._q == other._q and self._words == other._words
-
-    def __hash__(self) -> int:
-        return hash((self._q, self._words))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(str(w) for w in self._words[:8])
-        if len(self._words) > 8:
-            shown += f", ... ({len(self._words)} words)"
-        return f"Code(q={self._q}, length={self._length}, {{{shown}}})"
+        return item in self.words
 
 
 def distance(a: Word, b: Word) -> int:

@@ -42,24 +42,14 @@ class WitnessSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefixes", tuple(self.prefixes))
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if self.k < 1:
-            raise ValueError(f"prefix length must be at least 1, got {self.k}")
-        if not self.prefixes:
-            raise ValueError("a witness set needs at least one prefix")
-        for w in self.prefixes:
-            if w.q != self.q:
-                raise ValueError(f"prefix {w} has alphabet {w.q}, expected {self.q}")
-            if w.length != self.k:
-                raise ValueError(f"prefix {w} has length {w.length}, expected {self.k}")
-        if any(s != 0 for s in self.prefixes[0].symbols):
+        # the prefixes must be distinct words of one alphabet and one length, as in a code
+        code = Code(self.prefixes)
+        if (code.q, code.length) != (self.q, self.k):
+            raise ValueError(
+                f"prefixes are over q={code.q}, k={code.length}, expected q={self.q}, k={self.k}"
+            )
+        if any(self.prefixes[0].symbols):
             raise ValueError(f"the first prefix must be the zero word, got {self.prefixes[0]}")
-        seen = set()
-        for w in self.prefixes:
-            if w.symbols in seen:
-                raise ValueError(f"duplicate prefix {w}")
-            seen.add(w.symbols)
 
     @classmethod
     def from_strings(cls, q: int, k: int, texts: Iterable[str]) -> WitnessSet:
@@ -316,76 +306,62 @@ def _spend_shared(shared_i: list[list[int]], agree: list[int], step: int) -> Non
             row[a] += step
 
 
-def _verify_witness(
-    witness: Code,
-    prefixes: Sequence[tuple[int, ...]],
-    k: int,
-    d: int,
-    systematic: bool,
-) -> None:
+def _verify_witness(witness: Code, prefixes: Sequence[tuple[int, ...]], d: int) -> None:
     """Independent re-check of a feasible outcome via the core operations."""
-    found = {w.symbols[:k] for w in witness}
-    if found != {tuple(p) for p in prefixes}:
+    k = len(prefixes[0])
+    if {w.symbols[:k] for w in witness} != set(prefixes):
         raise RuntimeError("search produced a witness with wrong prefixes")
     if len(witness) != len(prefixes):
         raise RuntimeError("search produced a witness of the wrong size")
     if len(witness) >= 2 and min_distance(witness) < d:
         raise RuntimeError("search produced a witness violating the distance floor")
-    if systematic and not is_systematic(witness, k):
-        raise RuntimeError("search produced a non-systematic witness")
-
-
-def _outcome(
-    prefixes: Sequence[tuple[int, ...]],
-    q: int,
-    k: int,
-    m: int,
-    d: int,
-    node_limit: int | None,
-    systematic: bool,
-) -> SearchOutcome:
-    """Run the pre-check, then the DFS, and make an outcome, re-checking any witness.
-
-    node_limit caps the DFS's attempted symbol placements; the pre-check
-    explores no nodes, so no limit can cut it short.
-    """
-    if node_limit is not None and node_limit < 1:
-        raise ValueError(f"node limit must be at least 1, got {node_limit}")
-    slack, reason = _precheck(prefixes, q, m, d)
-    if reason is not None:
-        return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    tails, nodes, exhausted = _backtrack(slack, q, m, node_limit, symmetry=True)
-    witness = None
-    if tails is not None:
-        witness = Code(Word(tuple(p) + tuple(t), q) for p, t in zip(prefixes, tails))
-        _verify_witness(witness, prefixes, k, d, systematic)
-    return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)
 
 
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
-    """Decide whether length-m tails exist giving every prefix pair distance >= d."""
+    """Decide whether length-m tails exist giving every prefix pair distance >= d.
+
+    Runs the pre-check, then the DFS, and re-checks any witness.
+    node_limit caps the DFS's attempted symbol placements; the pre-check
+    explores no nodes, so no limit can cut it short.
+    """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
+    if node_limit is not None and node_limit < 1:
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
     prefixes = [w.symbols for w in ws.prefixes]
-    return _outcome(prefixes, ws.q, ws.k, m, d, node_limit, systematic=False)
+    slack, reason = _precheck(prefixes, ws.q, m, d)
+    if reason is not None:
+        return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
+    tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit, symmetry=True)
+    witness = None
+    if tails is not None:
+        witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))
+        _verify_witness(witness, prefixes, d)
+    return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)
 
 
 def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether a (q, n, k, d) systematic code exists, by exhaustive tail search.
 
-    Runs the tail engine with all q**k prefixes; guarded to small q**k.
+    tail_search over all q**k prefixes, guarded to small q**k, and then
+    a re-check that a found code is systematic.
     """
-    size = params.q**params.k
-    if size > FULL_SEARCH_PREFIX_LIMIT:
-        raise GuardLimitError(
-            f"q**k = {size} exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
-            "use a witness-set tail search instead"
-        )
-    prefixes = list(product(range(params.q), repeat=params.k))
-    m = params.n - params.k
-    return _outcome(prefixes, params.q, params.k, m, params.d, node_limit, systematic=True)
+    q, k = params.q, params.k
+    size = 1
+    for _ in range(k):
+        size *= q
+        if size > FULL_SEARCH_PREFIX_LIMIT:
+            raise GuardLimitError(
+                f"q**k exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
+                "use a witness-set tail search instead"
+            )
+    ws = WitnessSet(q=q, k=k, prefixes=tuple(Word(p, q) for p in product(range(q), repeat=k)))
+    outcome = tail_search(ws, params.n - k, params.d, node_limit)
+    if outcome.witness is not None and not is_systematic(outcome.witness, k):
+        raise RuntimeError("search produced a non-systematic witness")
+    return outcome
 
 
 def naive_oracle(ws: WitnessSet, m: int, d: int) -> bool:
@@ -453,8 +429,7 @@ def parse_witness_set(text: str) -> WitnessSet:
         raise ValueError(f"first content line must be 'q k', got {content[0]!r}") from None
     if len(content) < 2:
         raise ValueError("witness file lists no prefixes")
-    prefixes = tuple(Word.parse(ln, q) for ln in content[1:])
-    return WitnessSet(q=q, k=k, prefixes=prefixes)
+    return WitnessSet.from_strings(q, k, content[1:])
 
 
 def load_witness_set(path: str | Path) -> WitnessSet:

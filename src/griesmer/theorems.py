@@ -11,7 +11,7 @@ refuting any subset of them refutes every code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import griesmer_sum
 from .core import CodeParams, Word
@@ -19,14 +19,50 @@ from .search import FULL_SEARCH_PREFIX_LIMIT, SearchOutcome, WitnessSet, tail_se
 # not called here; re-exported because the benchmark tracer (bench/spans.py) wraps it
 from .search import full_search  # noqa: F401
 
-THEOREM_IDS = ("q_ge_d", "d12", "d34", "d56_k2", "d56_k3")
 
-# prefix patterns, as trailing digits of length-k words padded with zeros
-_PIGEONHOLE_PAIR = ((), (1,))
-_D34_PATTERNS_Q2 = ((), (1,), (1, 0))
-_D34_PATTERNS_Q3 = ((), (1,), (2,), (1, 0))
-_D56_K2_PATTERNS = ((), (1,), (1, 0))
-_D56_K3_PATTERNS = ((), (1,), (1, 0), (1, 1), (1, 0, 1))
+class _Family(NamedTuple):
+    """One nonexistence family: its scope, its witness prefixes, its sample.
+
+    admits(q, d, k) is the scope, and scope states it for error
+    messages.  patterns are the witness prefixes, as trailing digits of
+    length-k words padded with zeros; at a given q only those whose
+    symbols are below q are used.  verify_all samples the (q, d) in
+    points, at each admitted k from 2 up, while sampled(q, k) holds.
+    """
+
+    scope: str
+    admits: Callable[[int, int, int], bool]
+    patterns: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, int], ...]
+    sampled: Callable[[int, int], bool] = lambda q, k: True
+
+
+_PAIR = ((), (1,))
+_D34 = ((2, 3), (2, 4), (3, 4))
+_D56 = ((2, 5), (2, 6))
+_FAMILIES = {
+    "q_ge_d": _Family(
+        "q >= d >= 2, k >= 2", lambda q, d, k: 2 <= d <= q and k >= 2, _PAIR,
+        tuple((q, d) for q in range(2, 6) for d in range(2, q + 1)), lambda q, k: k <= 3,
+    ),
+    "d12": _Family(
+        "d = 2, k >= 2", lambda q, d, k: d == 2 and k >= 2, _PAIR,
+        ((2, 2), (3, 2)), lambda q, k: q**k <= FULL_SEARCH_PREFIX_LIMIT,
+    ),
+    "d34": _Family(
+        "(q, d) in {(2,3), (2,4), (3,4)}, k >= 2", lambda q, d, k: (q, d) in _D34 and k >= 2,
+        ((), (1,), (2,), (1, 0)), _D34,
+    ),
+    "d56_k2": _Family(
+        "q = 2, d in {5, 6}, k = 2", lambda q, d, k: (q, d) in _D56 and k == 2,
+        ((), (1,), (1, 0)), _D56,
+    ),
+    "d56_k3": _Family(
+        "q = 2, d in {5, 6}, k >= 3", lambda q, d, k: (q, d) in _D56 and k >= 3,
+        ((), (1,), (1, 0), (1, 1), (1, 0, 1)), _D56,
+    ),
+}
+THEOREM_IDS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -95,62 +131,28 @@ class Verdict:
         }
 
 
-def _embedded(q: int, k: int, patterns: tuple[tuple[int, ...], ...]) -> WitnessSet:
-    words = tuple(Word((0,) * (k - len(pat)) + pat, q) for pat in patterns)
-    return WitnessSet(q=q, k=k, prefixes=words)
-
-
 def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> TheoremCase:
     """Build the canonical case for a theorem family at (q, d, k).
 
-    q_ge_d and d12 use the pair {0, e_k}, a Singleton pigeonhole
-    argument: the two prefixes are at distance 1, so their full words
-    are at distance at most 1 + m, and 1 + m < d at the critical tail
-    length m (m = d - 2 for q_ge_d, m = 0 for d12).  No tails separate
-    them, and the engine's pair pre-check refutes the case with 0 nodes.
+    _FAMILIES holds each family's scope and witness prefixes.  d12 is
+    q_ge_d at d = 2: both refute the pair {0, e_k} by a Singleton
+    pigeonhole argument, as the two prefixes are at distance 1 and
+    1 + m < d at the critical tail length m = d - 2.  d = 1 is in no
+    scope: its critical length k - 1 cannot hold a prefix.
 
-    d56_k3 uses one five-prefix family.  Every systematic code contains
-    all 2**k prefixes, so it contains this family too, and refuting the
-    family alone refutes every code.
-
-    Raises ValueError when the parameters fall outside the family's
-    range, or when the critical tail length would be negative.
+    Raises ValueError, in one line naming the family and the values,
+    when (q, d, k) is outside the family's scope.
     """
-    if theorem_id not in THEOREM_IDS:
+    family = _FAMILIES.get(theorem_id)
+    if family is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if k < 2:
-        raise ValueError(f"theorem cases need k >= 2, got {k}")
-    if theorem_id == "q_ge_d":
-        if d < 2:
-            raise ValueError(f"q_ge_d needs d >= 2, got {d}")
-        if q < d:
-            raise ValueError(f"q_ge_d needs q >= d, got q={q}, d={d}")
-        witness = _embedded(q, k, _PIGEONHOLE_PAIR)
-    elif theorem_id == "d12":
-        if d not in (1, 2):
-            raise ValueError(f"d12 needs d in {{1, 2}}, got {d}")
-        if d == 1:
-            # the critical length k - 1 cannot even hold the prefixes
-            raise ValueError("d = 1 has critical length below k; nothing to search")
-        witness = _embedded(q, k, _PIGEONHOLE_PAIR)
-    elif theorem_id == "d34":
-        if (q, d) not in ((2, 3), (2, 4), (3, 4)):
-            raise ValueError(f"d34 covers (q, d) in {{(2,3), (2,4), (3,4)}}, got ({q}, {d})")
-        witness = _embedded(q, k, _D34_PATTERNS_Q2 if q == 2 else _D34_PATTERNS_Q3)
-    elif theorem_id == "d56_k2":
-        if q != 2 or d not in (5, 6):
-            raise ValueError(f"d56_k2 covers q = 2, d in {{5, 6}}, got q={q}, d={d}")
-        if k != 2:
-            raise ValueError(f"d56_k2 is the k = 2 family, got k={k}")
-        witness = _embedded(q, k, _D56_K2_PATTERNS)
-    else:
-        if q != 2 or d not in (5, 6):
-            raise ValueError(f"d56_k3 covers q = 2, d in {{5, 6}}, got q={q}, d={d}")
-        if k < 3:
-            raise ValueError(f"d56_k3 needs k >= 3, got {k}")
-        witness = _embedded(q, k, _D56_K3_PATTERNS)
+    if not family.admits(q, d, k):
+        raise ValueError(f"{theorem_id} covers {family.scope}, got q={q}, d={d}, k={k}")
+    words = tuple(
+        Word((0,) * (k - len(p)) + p, q) for p in family.patterns if max(p, default=0) < q
+    )
     params = CodeParams(q=q, n=griesmer_sum(q, k, d) - 1, k=k, d=d)
-    return TheoremCase(theorem_id=theorem_id, params=params, witness=witness)
+    return TheoremCase(theorem_id, params, WitnessSet(q=q, k=k, prefixes=words))
 
 
 def verify(case: TheoremCase, node_limit: int | None = None) -> Verdict:
@@ -160,27 +162,17 @@ def verify(case: TheoremCase, node_limit: int | None = None) -> Verdict:
 
 
 def _cases(kmax: int) -> Iterator[TheoremCase]:
-    for q in (2, 3, 4, 5):
-        for d in range(2, q + 1):
-            for k in range(2, min(3, kmax) + 1):
-                yield witness_set_for("q_ge_d", q, d, k)
-    for q in (2, 3):
-        for k in range(2, kmax + 1):
-            if q**k > FULL_SEARCH_PREFIX_LIMIT:
-                break
-            yield witness_set_for("d12", q, 2, k)
-    for q, d in ((2, 3), (2, 4), (3, 4)):
-        for k in range(2, kmax + 1):
-            yield witness_set_for("d34", q, d, k)
-    for d in (5, 6):
-        yield witness_set_for("d56_k2", 2, d, 2)
-    for d in (5, 6):
-        for k in range(3, kmax + 1):
-            yield witness_set_for("d56_k3", 2, d, k)
+    for theorem_id, family in _FAMILIES.items():
+        for q, d in family.points:
+            for k in range(2, kmax + 1):
+                if not family.sampled(q, k):
+                    break
+                if family.admits(q, d, k):
+                    yield witness_set_for(theorem_id, q, d, k)
 
 
 def verify_all(kmax: int = 4, node_limit: int | None = None) -> list[Verdict]:
-    """Verify every theorem family over 2 <= k <= kmax; returns all verdicts."""
+    """Verify every family at its sample points in _FAMILIES, for 2 <= k <= kmax."""
     if kmax < 2:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
     return [verify(case, node_limit) for case in _cases(kmax)]

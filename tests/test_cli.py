@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from griesmer.bounds import bound_report
 from griesmer.cli import main
@@ -120,10 +121,13 @@ def test_search_full_node_limited_exit_2(capsys):
 
 
 def test_search_full_guard_violation(capsys):
-    code, _, err = _run(capsys, ["search-full", "--q", "2", "--n", "14", "--k", "13", "--d", "2"])
-    assert code == 1
-    assert err.startswith("error:")
-    assert err.count("\n") == 1  # single-line diagnostic
+    # the second input's q**k has over 4,300 digits, too many to print as an int
+    for n, k in ((14, 13), (15000, 14300)):
+        code, _, err = _run(capsys, ["search-full", "--q", "2", "--n", str(n), "--k", str(k), "--d", "2"])
+        assert code == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1  # single-line diagnostic
+        assert "exhaustive-prefix guard 4096" in err and len(err) < 200
 
 
 def test_verify_confirmed(capsys):
@@ -173,6 +177,14 @@ def test_verify_all_json(capsys):
     assert isinstance(verdicts, list)
     assert all(v["confirmed"] for v in verdicts)
     assert {v["id"] for v in verdicts} == {"q_ge_d", "d12", "d34", "d56_k2"}
+
+
+def test_verify_all_kmax12_json_is_pinned(capsys):
+    # every id, value and row, in order; rewrite the file only for an
+    # intended change to the catalogue
+    code, out, err = _run(capsys, ["verify-all", "--kmax", "12", "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == (Path(__file__).parent / "data" / "verify_all_kmax12.json").read_text(encoding="utf-8")
 
 
 def test_verify_all_text_has_one_row_per_verdict(capsys):

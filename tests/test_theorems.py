@@ -119,6 +119,23 @@ def test_inadmissible_parameters():
         witness_set_for("d12", 2, 1, 2)  # critical length below k
     with pytest.raises(ValueError):
         witness_set_for("d34", 2, 3, 1)  # k >= 2 everywhere
+    # just outside one bound of each family: one line naming the family and the values
+    for theorem_id, q, d, k in (
+        ("q_ge_d", 2, 3, 2),  # q = d - 1
+        ("d12", 3, 3, 2),
+        ("d34", 3, 3, 2),
+        ("d56_k2", 2, 5, 3),
+        ("d56_k3", 2, 5, 2),
+    ):
+        with pytest.raises(ValueError) as info:
+            witness_set_for(theorem_id, q, d, k)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith(f"{theorem_id} covers ")
+        assert message.endswith(f"got q={q}, d={d}, k={k}")
+    # and the matching edges inside
+    for theorem_id, q, d, k in (("q_ge_d", 3, 3, 2), ("d12", 7, 2, 2), ("d34", 3, 4, 2)):
+        assert verify(witness_set_for(theorem_id, q, d, k)).confirmed
 
 
 def test_theorem_case_invariants():
