@@ -28,7 +28,7 @@ from .search import (
     parse_witness_set,
     tail_search,
 )
-from .theorems import THEOREM_IDS, TheoremCase, Verdict, verify, verify_all, witness_set_for
+from .theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "parse_witness_set",
     "tail_search",
     "THEOREM_IDS",
-    "TheoremCase",
     "Verdict",
     "verify",
     "verify_all",

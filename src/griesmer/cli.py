@@ -15,7 +15,7 @@ from typing import Sequence
 from .bounds import BoundReport, bound_report, bound_table, table_to_csv
 from .core import CodeParams
 from .search import SearchOutcome, full_search, load_witness_set, tail_search
-from .theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
+from .theorems import THEOREM_IDS, Verdict, verify, verify_all
 
 AD_HOC_NODE_LIMIT = 10**8
 
@@ -84,9 +84,9 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
     header = f"{'id':<8} {'q':>3} {'k':>3} {'d':>3} {'griesmer':>9} {'critical_n':>11} {'confirmed':>10} {'nodes':>12}"
     print(header)
     for v in verdicts:
-        p = v.case.params
+        p = v.params
         print(
-            f"{v.case.theorem_id:<8} {p.q:>3} {p.k:>3} {p.d:>3} {v.case.griesmer:>9} "
+            f"{v.theorem_id:<8} {p.q:>3} {p.k:>3} {p.d:>3} {p.n + 1:>9} "
             f"{p.n:>11} {_bool_text(v.confirmed):>10} {v.outcome.nodes_explored:>12}"
         )
 
@@ -161,8 +161,7 @@ def _run(args: argparse.Namespace) -> int:
         _print_outcome(outcome, args.format)
         return 0 if outcome.exhausted else 2
     if args.subcommand == "verify":
-        case = witness_set_for(args.theorem, args.q, args.d, args.k)
-        verdicts = [verify(case, args.node_limit)]
+        verdicts = [verify(args.theorem, args.q, args.d, args.k, args.node_limit)]
     else:
         verdicts = verify_all(args.kmax, args.node_limit)
     _print_verdicts(verdicts, args.format, single=args.subcommand == "verify")

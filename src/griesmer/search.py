@@ -342,6 +342,16 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)
 
 
+def _power_exceeds(q: int, e: int, limit: int) -> bool:
+    """Whether q**e > limit, multiplying only until the power passes the limit."""
+    power = 1
+    for _ in range(e):
+        power *= q
+        if power > limit:
+            return True
+    return False
+
+
 def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether a (q, n, k, d) systematic code exists, by exhaustive tail search.
 
@@ -349,14 +359,11 @@ def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutc
     a re-check that a found code is systematic.
     """
     q, k = params.q, params.k
-    size = 1
-    for _ in range(k):
-        size *= q
-        if size > FULL_SEARCH_PREFIX_LIMIT:
-            raise GuardLimitError(
-                f"q**k exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
-                "use a witness-set tail search instead"
-            )
+    if _power_exceeds(q, k, FULL_SEARCH_PREFIX_LIMIT):
+        raise GuardLimitError(
+            f"q**k exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
+            "use a witness-set tail search instead"
+        )
     ws = WitnessSet(q=q, k=k, prefixes=tuple(Word(p, q) for p in product(range(q), repeat=k)))
     outcome = tail_search(ws, params.n - k, params.d, node_limit)
     if outcome.witness is not None and not is_systematic(outcome.witness, k):
@@ -377,10 +384,10 @@ def naive_oracle(ws: WitnessSet, m: int, d: int) -> bool:
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
     r = len(ws.prefixes)
-    count = ws.q ** (m * (r - 1))
-    if count > ORACLE_ASSIGNMENT_LIMIT:
+    if _power_exceeds(ws.q, m * (r - 1), ORACLE_ASSIGNMENT_LIMIT):
         raise GuardLimitError(
-            f"oracle would enumerate {count} assignments, over the guard {ORACLE_ASSIGNMENT_LIMIT}"
+            f"oracle would enumerate {ws.q}**{m * (r - 1)} assignments, "
+            f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"
         )
     prefixes = [w.symbols for w in ws.prefixes]
     fixed = prefixes[0] + (0,) * m

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from griesmer.bounds import bound_report
 from griesmer.cli import main
 
@@ -179,12 +181,18 @@ def test_verify_all_json(capsys):
     assert {v["id"] for v in verdicts} == {"q_ge_d", "d12", "d34", "d56_k2"}
 
 
-def test_verify_all_kmax12_json_is_pinned(capsys):
-    # every id, value and row, in order; rewrite the file only for an
-    # intended change to the catalogue
-    code, out, err = _run(capsys, ["verify-all", "--kmax", "12", "--format", "json"])
+@pytest.mark.parametrize(
+    "kmax, fmt, name",
+    [("12", "json", "verify_all_kmax12.json"), ("13", "text", "verify_all_kmax13.txt")],
+    ids=["kmax12-json", "kmax13-text"],
+)
+def test_verify_all_output_is_pinned(capsys, kmax, fmt, name):
+    # every id, value and row, in order; rewrite a file only for an
+    # intended change to the catalogue.  At kmax 13 the d12 cap of
+    # k <= 12 at q = 2 binds, and the text table is pinned too
+    code, out, err = _run(capsys, ["verify-all", "--kmax", kmax, "--format", fmt])
     assert code == 0 and err == ""
-    assert out == (Path(__file__).parent / "data" / "verify_all_kmax12.json").read_text(encoding="utf-8")
+    assert out == (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
 
 
 def test_verify_all_text_has_one_row_per_verdict(capsys):

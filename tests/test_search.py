@@ -18,7 +18,7 @@ from griesmer.search import (
     parse_witness_set,
     tail_search,
 )
-from griesmer.theorems import verify, witness_set_for
+from griesmer.theorems import verify
 
 
 def _ws(q, k, texts):
@@ -97,14 +97,13 @@ def test_node_limit_validation():
     # checked before the pre-check, which would refute each search here with 0 nodes
     ws = _ws(2, 2, ["00", "01"])
     params = CodeParams(q=2, n=4, k=2, d=3)
-    case = witness_set_for("d56_k3", 2, 5, 3)
     for limit in (0, -5):
         with pytest.raises(ValueError):
             tail_search(ws, 1, 3, node_limit=limit)
         with pytest.raises(ValueError):
             full_search(params, node_limit=limit)
         with pytest.raises(ValueError):
-            verify(case, node_limit=limit)
+            verify("d56_k3", 2, 5, 3, node_limit=limit)
     assert tail_search(ws, 1, 3, node_limit=1).exhausted
     assert full_search(params, node_limit=1).exhausted
 
@@ -205,6 +204,12 @@ def test_naive_oracle_guard():
     ws = _ws(2, 3, ["000", "001", "010", "011", "101"])
     with pytest.raises(GuardLimitError):
         naive_oracle(ws, 7, 5)  # 2**28 assignments
+    # 2**20000 has over 4,300 digits: the guard must reject it without
+    # building the power, in one short line
+    with pytest.raises(GuardLimitError) as info:
+        naive_oracle(_ws(2, 2, ["00", "01", "10"]), 10000, 3)
+    message = str(info.value)
+    assert "\n" not in message and len(message.encode()) < 200
     with pytest.raises(ValueError):
         naive_oracle(ws, -1, 5)
     with pytest.raises(ValueError):

@@ -13,25 +13,22 @@ from griesmer.search import (
     full_search,
     tail_search,
 )
-from griesmer.theorems import (
-    THEOREM_IDS,
-    TheoremCase,
-    Verdict,
-    _cases,
-    verify,
-    verify_all,
-    witness_set_for,
-)
+from griesmer.theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
 
 
-def _prefix_strings(case):
-    return [str(w) for w in case.witness.prefixes]
+def _prefix_strings(ws):
+    return [str(w) for w in ws.prefixes]
 
 
-def _dfs(case):
+def _critical_m(verdict):
+    return verdict.params.n - verdict.params.k
+
+
+def _dfs(theorem_id, q, d, k):
     """The DFS alone on the case, given the pre-check's slack table but not its verdict."""
-    q, m = case.params.q, case.critical_m
-    slack, _ = _precheck([w.symbols for w in case.witness.prefixes], q, m, case.params.d)
+    ws = witness_set_for(theorem_id, q, d, k)
+    m = griesmer_sum(q, k, d) - 1 - k
+    slack, _ = _precheck([w.symbols for w in ws.prefixes], q, m, d)
     return _backtrack(slack, q, m, None, True)
 
 
@@ -40,60 +37,56 @@ def test_theorem_ids():
 
 
 def test_case_d56_k3():
-    case = witness_set_for("d56_k3", 2, 5, 3)
-    assert _prefix_strings(case) == ["000", "001", "010", "011", "101"]
-    assert case.critical_m == 6
-    assert case.params == CodeParams(q=2, n=9, k=3, d=5)
+    assert _prefix_strings(witness_set_for("d56_k3", 2, 5, 3)) == ["000", "001", "010", "011", "101"]
+    verdict = verify("d56_k3", 2, 5, 3)
+    assert _critical_m(verdict) == 6
+    assert verdict.params == CodeParams(q=2, n=9, k=3, d=5)
 
 
 def test_case_d34_q3():
-    case = witness_set_for("d34", 3, 4, 2)
-    assert _prefix_strings(case) == ["00", "01", "02", "10"]
-    assert case.critical_m == 3
+    assert _prefix_strings(witness_set_for("d34", 3, 4, 2)) == ["00", "01", "02", "10"]
+    assert _critical_m(verify("d34", 3, 4, 2)) == 3
 
 
 def test_case_d34_q2():
-    case = witness_set_for("d34", 2, 3, 2)
-    assert _prefix_strings(case) == ["00", "01", "10"]
-    assert case.critical_m == 2
+    assert _prefix_strings(witness_set_for("d34", 2, 3, 2)) == ["00", "01", "10"]
+    assert _critical_m(verify("d34", 2, 3, 2)) == 2
 
 
 def test_case_d56_k2():
-    case = witness_set_for("d56_k2", 2, 6, 2)
-    assert _prefix_strings(case) == ["00", "01", "10"]
-    assert case.critical_m == 6
+    assert _prefix_strings(witness_set_for("d56_k2", 2, 6, 2)) == ["00", "01", "10"]
+    assert _critical_m(verify("d56_k2", 2, 6, 2)) == 6
 
 
 def test_case_embedding_pads_leading_zeros():
-    case = witness_set_for("d56_k3", 2, 5, 5)
-    assert _prefix_strings(case) == ["00000", "00001", "00010", "00011", "00101"]
-    assert case.critical_m == 6
+    ws = witness_set_for("d56_k3", 2, 5, 5)
+    assert _prefix_strings(ws) == ["00000", "00001", "00010", "00011", "00101"]
+    assert _critical_m(verify("d56_k3", 2, 5, 5)) == 6
 
 
-def _assert_pigeonhole_refutation(case):
+def _assert_pigeonhole_refutation(verdict):
     # {0, e_k} is at distance 1 and 1 + m < d: refuted by the pair pre-check
-    verdict = verify(case)
     assert verdict.confirmed
     assert verdict.outcome.nodes_explored == 0
     # cross-check against an exhaustive search over all q**k prefixes
-    full = full_search(case.params)
+    full = full_search(verdict.params)
     assert not full.feasible and full.exhausted
 
 
 def test_case_q_ge_d_is_pigeonhole_pair():
-    case = witness_set_for("q_ge_d", 5, 3, 2)
-    assert _prefix_strings(case) == ["00", "01"]
-    assert case.params.n == 3  # d + k - 2
-    assert case.critical_m == 1
-    _assert_pigeonhole_refutation(case)
+    assert _prefix_strings(witness_set_for("q_ge_d", 5, 3, 2)) == ["00", "01"]
+    verdict = verify("q_ge_d", 5, 3, 2)
+    assert verdict.params.n == 3  # d + k - 2
+    assert _critical_m(verdict) == 1
+    _assert_pigeonhole_refutation(verdict)
 
 
 def test_case_d12_is_pigeonhole_pair():
-    case = witness_set_for("d12", 3, 2, 2)
-    assert _prefix_strings(case) == ["00", "01"]
-    assert case.params.n == 2
-    assert case.critical_m == 0
-    _assert_pigeonhole_refutation(case)
+    assert _prefix_strings(witness_set_for("d12", 3, 2, 2)) == ["00", "01"]
+    verdict = verify("d12", 3, 2, 2)
+    assert verdict.params.n == 2
+    assert _critical_m(verdict) == 0
+    _assert_pigeonhole_refutation(verdict)
 
 
 def test_inadmissible_parameters():
@@ -135,49 +128,50 @@ def test_inadmissible_parameters():
         assert message.endswith(f"got q={q}, d={d}, k={k}")
     # and the matching edges inside
     for theorem_id, q, d, k in (("q_ge_d", 3, 3, 2), ("d12", 7, 2, 2), ("d34", 3, 4, 2)):
-        assert verify(witness_set_for(theorem_id, q, d, k)).confirmed
+        assert verify(theorem_id, q, d, k).confirmed
 
 
 def test_theorem_case_invariants():
-    case = witness_set_for("d34", 2, 3, 2)
-    same = TheoremCase(theorem_id="d34", params=case.params, witness=case.witness)
-    assert same == case and same.critical_m == 2 and same.griesmer == 5
-    binary = WitnessSet.from_strings(2, 2, ["00", "01", "10"])
-    bad = [
-        ("bogus", case.params, case.witness),
-        # (3, 4, 2, 3) exists (the ternary tetracode): a binary witness must not refute it
-        ("d34", CodeParams(q=3, n=4, k=2, d=3), binary),
-        ("d34", CodeParams(q=3, n=3, k=2, d=3), binary),  # q mismatch only
-        ("d34", CodeParams(q=2, n=5, k=3, d=3), binary),  # k mismatch only
-        ("d34", CodeParams(q=2, n=5, k=2, d=3), binary),  # n is griesmer, not griesmer - 1
-    ]
-    for theorem_id, params, witness in bad:
-        with pytest.raises(ValueError):
-            TheoremCase(theorem_id=theorem_id, params=params, witness=witness)
+    # a case is named by (id, q, d, k) alone: its witness set and its
+    # length are derived, so no mismatched case can be built
+    verdict = verify("d34", 2, 3, 2)
+    assert verdict == verify("d34", 2, 3, 2)
+    assert _critical_m(verdict) == 2 and verdict.to_dict()["griesmer"] == 5
+    with pytest.raises(ValueError):
+        verify("bogus", 2, 3, 2)
+    for theorem_id, q, d, k in (
+        ("q_ge_d", 4, 3, 3),
+        ("d12", 3, 2, 4),
+        ("d34", 3, 4, 5),
+        ("d56_k2", 2, 6, 2),
+        ("d56_k3", 2, 5, 4),
+    ):
+        params = verify(theorem_id, q, d, k).params
+        assert params == CodeParams(q=q, n=griesmer_sum(q, k, d) - 1, k=k, d=d)
 
 
 def test_verify_d56_k3():
-    verdict = verify(witness_set_for("d56_k3", 2, 5, 3))
+    verdict = verify("d56_k3", 2, 5, 3)
     assert verdict.confirmed
-    assert verdict.case.griesmer == 10
+    assert verdict.params.n + 1 == 10
     assert not verdict.outcome.feasible
     assert verdict.outcome.exhausted
 
 
 def test_verify_d34_q3():
-    verdict = verify(witness_set_for("d34", 3, 4, 2))
+    verdict = verify("d34", 3, 4, 2)
     assert verdict.confirmed
-    assert verdict.case.griesmer == 6
+    assert verdict.params.n + 1 == 6
 
 
 def test_verify_q_ge_d_full():
-    verdict = verify(witness_set_for("q_ge_d", 5, 3, 2))
+    verdict = verify("q_ge_d", 5, 3, 2)
     assert verdict.confirmed
-    assert verdict.case.params.n == 3
+    assert verdict.params.n == 3
 
 
 def test_verdict_serialization():
-    verdict = verify(witness_set_for("d56_k2", 2, 5, 2))
+    verdict = verify("d56_k2", 2, 5, 2)
     d = verdict.to_dict()
     assert list(d) == ["id", "q", "k", "d", "griesmer", "critical_n", "confirmed", "nodes_explored"]
     assert d["id"] == "d56_k2"
@@ -188,11 +182,11 @@ def test_verdict_serialization():
 
 def test_node_limited_verify_is_never_confirmed():
     # the pre-check settles every catalogue case, so a node limit cannot cut one short
-    case = witness_set_for("d56_k3", 2, 5, 3)
-    assert verify(case, node_limit=10).confirmed
+    confirmed = verify("d56_k3", 2, 5, 3, node_limit=10)
+    assert confirmed.confirmed
     # an aborted search, here one the pre-check leaves to the DFS, never confirms
     ws = WitnessSet.from_strings(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
-    verdict = Verdict(case=case, outcome=tail_search(ws, 3, 4, node_limit=10))
+    verdict = Verdict("d56_k3", confirmed.params, tail_search(ws, 3, 4, node_limit=10))
     assert not verdict.confirmed
     assert not verdict.outcome.exhausted
     assert verdict.outcome.nodes_explored == 10
@@ -201,17 +195,17 @@ def test_node_limited_verify_is_never_confirmed():
 def test_verify_all_kmax2():
     verdicts = verify_all(2)
     assert all(v.confirmed for v in verdicts)
-    seen = {(v.case.theorem_id, v.case.params.q, v.case.params.d, v.case.params.k) for v in verdicts}
+    seen = {(v.theorem_id, v.params.q, v.params.d, v.params.k) for v in verdicts}
     assert ("d34", 2, 3, 2) in seen
     assert ("d34", 2, 4, 2) in seen
     assert ("q_ge_d", 3, 2, 2) in seen
     assert ("d56_k2", 2, 5, 2) in seen
-    assert not any(v.case.theorem_id == "d56_k3" for v in verdicts)
+    assert not any(v.theorem_id == "d56_k3" for v in verdicts)
 
 
 def test_verify_all_kmax3_covers_theorem7():
     verdicts = verify_all(3)
-    seen = {(v.case.theorem_id, v.case.params.q, v.case.params.d, v.case.params.k) for v in verdicts}
+    seen = {(v.theorem_id, v.params.q, v.params.d, v.params.k) for v in verdicts}
     assert ("d56_k3", 2, 5, 3) in seen
     assert ("d56_k3", 2, 6, 3) in seen
     assert all(v.confirmed for v in verdicts)
@@ -231,7 +225,8 @@ def test_dfs_alone_refutes_every_catalogue_case():
     # read the pre-check's verdict, must refute every one of them too
     for verdict in verify_all(8):
         assert verdict.confirmed and verdict.outcome.nodes_explored == 0
-        assert _dfs(verdict.case)[0] is None, verdict.to_dict()
+        p = verdict.params
+        assert _dfs(verdict.theorem_id, p.q, p.d, p.k)[0] is None, verdict.to_dict()
 
 
 def test_verify_all_rejects_small_kmax():
@@ -239,19 +234,19 @@ def test_verify_all_rejects_small_kmax():
         verify_all(1)
 
 
-def _cases_by_family(kmax):
-    """The catalogue's cases up to kmax, grouped by (theorem id, q, d)."""
+def _ks_by_family(kmax):
+    """The k of the catalogue's cases up to kmax, grouped by (theorem id, q, d)."""
     groups = {}
-    for case in _cases(kmax):
-        groups.setdefault((case.theorem_id, case.params.q, case.params.d), []).append(case)
+    for v in verify_all(kmax):
+        groups.setdefault((v.theorem_id, v.params.q, v.params.d), []).append(v.params.k)
     return groups
 
 
-_FAMILIES = _cases_by_family(12)
+_FAMILIES = _ks_by_family(12)
 
 
-def _distances(case):
-    words = [w.symbols for w in case.witness.prefixes]
+def _distances(ws):
+    words = [w.symbols for w in ws.prefixes]
     return tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
 
 
@@ -261,36 +256,38 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     # tail length stays put once q**k >= d; the search reads the prefixes
     # only through their distances, so every k gets the same search, which
     # the pre-check refutes, and no node limit can cut a case short
-    cases = _FAMILIES[theorem_id, q, d]
-    assert len({_distances(c) for c in cases}) == 1
-    assert len({c.critical_m for c in cases}) == 1
+    ks = _FAMILIES[theorem_id, q, d]
+    witnesses = [witness_set_for(theorem_id, q, d, k) for k in ks]
+    verdicts = [verify(theorem_id, q, d, k) for k in ks]
+    assert len({_distances(ws) for ws in witnesses}) == 1
+    assert len({_critical_m(v) for v in verdicts}) == 1
     reasons = {
-        _precheck([w.symbols for w in c.witness.prefixes], q, c.critical_m, d)[1] for c in cases
+        _precheck([w.symbols for w in ws.prefixes], q, _critical_m(v), d)[1]
+        for ws, v in zip(witnesses, verdicts)
     }
     assert len(reasons) == 1 and None not in reasons
-    verdicts = [verify(c) for c in cases]
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(c)[1] for c in cases} == {365}
-        assert {c.critical_m for c in cases} == {7}
+        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {365}
+        assert {_critical_m(v) for v in verdicts} == {7}
 
 
 def test_witness_set_sufficiency():
     # a confirmed tail-mode verdict implies full-search infeasibility
     for q, d, k in ((2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 3), (3, 4, 2)):
-        verdict = verify(witness_set_for("d34", q, d, k))
+        verdict = verify("d34", q, d, k)
         assert verdict.confirmed
-        p = verdict.case.params
+        p = verdict.params
         full = full_search(CodeParams(q=p.q, n=p.n, k=p.k, d=p.d))
         assert not full.feasible and full.exhausted
 
 
 def test_refuted_length_is_below_bound():
     for verdict in verify_all(3):
-        p = verdict.case.params
-        assert verdict.case.griesmer == griesmer_sum(p.q, p.k, p.d)
-        assert verdict.case.griesmer > p.k + verdict.case.critical_m
+        p = verdict.params
+        assert p.n + 1 == griesmer_sum(p.q, p.k, p.d)
+        assert p.n + 1 > p.k + _critical_m(verdict)
 
 
 def test_both_case_families_are_refuted():
@@ -311,9 +308,8 @@ def test_dropping_a_prefix_breaks_the_refutation():
 
 
 def test_verify_searches_only_the_first_family():
-    case = witness_set_for("d56_k3", 2, 5, 3)
-    solo = tail_search(case.witness, case.critical_m, 5)
-    verdict = verify(case)
+    verdict = verify("d56_k3", 2, 5, 3)
+    solo = tail_search(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs(case) == (None, 621, True)
+    assert _dfs("d56_k3", 2, 5, 3) == (None, 621, True)
