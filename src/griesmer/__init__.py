@@ -11,6 +11,7 @@ from .core import (
 )
 from .bounds import (
     BoundReport,
+    GuardLimitError,
     bound_report,
     bound_table,
     griesmer_sum,
@@ -19,7 +20,6 @@ from .bounds import (
     table_to_csv,
 )
 from .search import (
-    GuardLimitError,
     SearchOutcome,
     WitnessSet,
     full_search,

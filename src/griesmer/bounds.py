@@ -2,13 +2,27 @@
 
 Everything is plain integer arithmetic: ceilings are computed as
 (d + p - 1) // p and powers of q are never grown past d, so arbitrarily
-large k is safe.
+large k is safe.  A report lists its k terms, so reports and tables are
+guarded to BOUND_TERMS_LIMIT terms in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+BOUND_TERMS_LIMIT = 10**6
+
+
+class GuardLimitError(ValueError):
+    """An instance exceeds a hard size guard."""
+
+
+def _guard_terms(terms: int) -> None:
+    if terms > BOUND_TERMS_LIMIT:
+        raise GuardLimitError(
+            f"the bounds would list {terms} terms, over the guard {BOUND_TERMS_LIMIT}"
+        )
 
 
 def griesmer_term(q: int, j: int, d: int) -> int:
@@ -73,6 +87,7 @@ class BoundReport:
 
 
 def bound_report(q: int, k: int, d: int) -> BoundReport:
+    _guard_terms(k)
     terms = tuple(griesmer_term(q, j, d) for j in range(k))
     return BoundReport(q=q, k=k, d=d, griesmer=sum(terms), singleton=singleton_bound(k, d), terms=terms)
 
@@ -83,6 +98,7 @@ def bound_table(q: int, kmax: int, dmax: int) -> list[BoundReport]:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     if dmax < 1:
         raise ValueError(f"dmax must be at least 1, got {dmax}")
+    _guard_terms(dmax * kmax * (kmax + 1) // 2)
     return [bound_report(q, k, d) for k in range(1, kmax + 1) for d in range(1, dmax + 1)]
 
 

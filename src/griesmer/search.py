@@ -22,14 +22,11 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .bounds import GuardLimitError
 from .core import Code, CodeParams, Word, is_systematic, min_distance
 
 FULL_SEARCH_PREFIX_LIMIT = 4096
 ORACLE_ASSIGNMENT_LIMIT = 2**24
-
-
-class GuardLimitError(ValueError):
-    """An instance exceeds a hard size guard."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,19 @@ def _backtrack(
     prune is exact: every other open column can still be made to
     disagree with that one word.
 
+    blocked[p] is word i's blocked-symbol mask in force at cell
+    p = (i - 1) * m + c: bit c' * q + s is set when some row j < i holds
+    s in tail column c' and left[i][j] is 0, so the pairwise prune is a
+    test of bit c * q + s.  rowmask[j] is row j's tail as such bits,
+    written when its last column is placed; the zero word's is low,
+    symbol 0 in every column.  An accepted placement writes
+    blocked[p + 1]: blocked[p] OR the masks of the rows it spends to 0,
+    or, when it completes word i, word i + 1's start, the masks of the
+    rows whose slack with word i + 1 is 0.  A re-accept overwrites the
+    entry, so nothing is undone.
+
     holders[c][s] lists the rows whose symbol in tail column c is s, so
-    the prune, the spend and the refund visit only the rows that agree.
+    the spend and the refund visit only the rows that agree.
     At cell (i, c) it holds only rows above i, in increasing order: rows
     are filled in order, so an accepted placement appends i, and undoing
     it pops i, which is then the last entry.  The zero word holds 0 in
@@ -212,7 +220,21 @@ def _backtrack(
     pairwise budget alone.  It needs symmetry, so the unreduced path
     stays the pairwise-only reference.
 
+    The column wipe-out forward-checks a placement whose rows spent to
+    0 add bits to the mask: if a later column c' > c then has all q bits
+    set, word i has no symbol left there, and the placement is pruned.
+    Soundness: a row whose budget is spent can agree with word i in no
+    further column, and precedence never allows a symbol above q - 1,
+    so every tail of word i through this placement overdraws a pairwise
+    budget.  Like triple it removes only subtrees that hold no solution,
+    so outcomes and witnesses stay the same and only the node count
+    falls, and like triple it runs on the reduced path only, so the
+    unreduced path stays the pairwise-only reference.
+
     Every attempted symbol placement counts as one node, pruned or not.
+    The pairwise prune costs one bit test.  The wipe-out costs q - 1
+    shifts and ANDs of an m*q-bit integer and runs only on placements
+    that spend a budget to 0.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
@@ -226,8 +248,12 @@ def _backtrack(
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     dist: list[list[int]] = [[] for _ in range(r)]
     shared: list[list[list[int]]] = [[] for _ in range(r)]
-    limit = sys.maxsize if node_limit is None else node_limit
+    low = sum(1 << c * q for c in range(m))
+    rowmask = [low] + [0] * (r - 1)
     total = (r - 1) * m
+    blocked = [0] * total
+    blocked[0] = 0 if left[1][0] else low
+    limit = sys.maxsize if node_limit is None else node_limit
     nodes = 0
     p = 0
     while True:
@@ -236,6 +262,7 @@ def _backtrack(
         tails_i = tails[i]
         left_i = left[i]
         col = holders[c]
+        mask = blocked[p]
         prev = tails_i[c]
         if prev >= 0:
             agree = col[prev]
@@ -254,33 +281,51 @@ def _backtrack(
             if nodes >= limit:
                 return None, nodes, False
             nodes += 1
+            if mask >> (c * q + s) & 1:
+                continue
             agree = col[s]
-            for j in agree:
-                if not left_i[j]:
-                    break
-            else:
-                if triple:
-                    if _shared_spent(shared[i], agree):
+            if triple:
+                if _shared_spent(shared[i], agree):
+                    continue
+                if c == m - 1 and i + 1 < r:
+                    word = tails_i[:c] + [s]
+                    dist[i] = [sum(x != y for x, y in zip(word, t)) for t in tails[:i]]
+                    left_n = left[i + 1]
+                    shared[i + 1] = table = [
+                        [(left_n[a] + left_n[b] - dist[b][a]) // 2 for a in range(b)]
+                        for b in range(i + 1)
+                    ]
+                    if any(x < 0 for row in table for x in row):
                         continue
-                    if c == m - 1 and i + 1 < r:
-                        word = tails_i[:c] + [s]
-                        dist[i] = [sum(x != y for x, y in zip(word, t)) for t in tails[:i]]
-                        left_n = left[i + 1]
-                        shared[i + 1] = table = [
-                            [(left_n[a] + left_n[b] - dist[b][a]) // 2 for a in range(b)]
-                            for b in range(i + 1)
-                        ]
-                        if any(x < 0 for row in table for x in row):
-                            continue
-                    _spend_shared(shared[i], agree, -1)
-                for j in agree:
-                    left_i[j] -= 1
-                agree.append(i)
-                tails_i[c] = s
-                p += 1
-                if p == total:
-                    return tails, nodes, True
-                break
+            after = mask
+            for j in agree:
+                if left_i[j] == 1:
+                    after |= rowmask[j]
+            if after != mask and symmetry:
+                full = after
+                for t in range(1, q):
+                    full &= after >> t
+                if full >> (c + 1) * q & low:
+                    continue
+            if triple:
+                _spend_shared(shared[i], agree, -1)
+            for j in agree:
+                left_i[j] -= 1
+            agree.append(i)
+            tails_i[c] = s
+            p += 1
+            if p == total:
+                return tails, nodes, True
+            if c < m - 1:
+                blocked[p] = after
+            else:
+                rowmask[i] = sum(1 << x * q + t for x, t in enumerate(tails_i))
+                after = 0
+                for j, x in enumerate(left[i + 1]):
+                    if not x:
+                        after |= rowmask[j]
+                blocked[p] = after
+            break
         else:
             tails_i[c] = -1
             p -= 1

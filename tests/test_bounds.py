@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from griesmer import bounds
 from griesmer.bounds import (
+    GuardLimitError,
     bound_report,
     bound_table,
     griesmer_sum,
@@ -135,6 +137,18 @@ def test_bound_table_row_major():
         bound_table(2, 0, 4)
     with pytest.raises(ValueError):
         bound_table(2, 3, 0)
+
+
+def test_bound_terms_guard(monkeypatch):
+    assert bounds.BOUND_TERMS_LIMIT == 10**6
+    monkeypatch.setattr(bounds, "BOUND_TERMS_LIMIT", 10)
+    assert len(bound_report(2, 10, 3).terms) == 10
+    with pytest.raises(GuardLimitError):
+        bound_report(2, 11, 3)
+    # a table counts the terms of all its reports: k terms for each (k, d)
+    assert len(bound_table(2, 4, 1)) == 4  # 1 + 2 + 3 + 4 terms
+    with pytest.raises(GuardLimitError):
+        bound_table(2, 2, 4)  # (1 + 2) * 4 terms
 
 
 def test_table_to_csv():

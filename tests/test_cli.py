@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,33 @@ def test_search_full_guard_violation(capsys):
         assert err.startswith("error:")
         assert err.count("\n") == 1  # single-line diagnostic
         assert "exhaustive-prefix guard 4096" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--q", "2", "--k", str(10**12), "--d", "3"],
+        ["table", "--q", "2", "--kmax", str(10**6), "--dmax", str(10**6), "--format", "json"],
+    ],
+)
+def test_bound_guard_violation(cli_env, argv):
+    # a report lists its k terms, so these must fail on the guard before
+    # building any; the child gets 512 MB of address space, so a missing
+    # guard fails here with a MemoryError instead of filling the machine
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "griesmer.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "over the guard 1000000" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_verify_confirmed(capsys):

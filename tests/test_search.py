@@ -326,7 +326,7 @@ def test_shared_budget_matches_references_exhaustive():
                             assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
                         total += nodes
     # a looser budget changes no verdict, only this total
-    assert total == 22496
+    assert total == 22400
 
 
 def test_shared_budget_matches_unreduced_random():
@@ -348,7 +348,7 @@ def test_shared_budget_matches_unreduced_random():
     [
         # r > 2m: the gate keeps these wide searches on the pairwise budget
         (11, 8, 2, 895),
-        (12, 7, 3, 2457),
+        (12, 7, 3, 1627),
         # r = 32 <= 2m = 32
         (21, 5, 9, 6848),
     ],
@@ -365,6 +365,31 @@ def test_shared_budget_decides_a_k5_control():
     assert out.nodes_explored == 18459
     assert min_distance(out.witness) >= 12
     assert is_systematic(out.witness, 5)
+
+
+@pytest.mark.parametrize(
+    "q, k, rmax, mmax, total",
+    [
+        # without the column wipe-out these totals are 51,784 and 24,217
+        (3, 2, 6, 4, 43684),
+        (4, 2, 5, 3, 24087),
+    ],
+)
+def test_column_wipe_out_matches_references_exhaustive(q, k, rmax, mmax, total):
+    # every witness set of 3..rmax prefixes (up to equal distance matrices),
+    # every 2 <= m <= mmax and every d <= m + k; with m = 1 no column is
+    # left after the one placed, so the wipe-out cannot fire
+    nodes = 0
+    for r in range(3, rmax + 1):
+        for ws in _distinct_witness_sets(q, k, r):
+            for m in range(2, mmax + 1):
+                for d in range(1, m + k + 1):
+                    feasible, explored = _check_against_unreduced(ws, m, d)
+                    if q ** (m * (r - 1)) <= 2**12:
+                        assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+                    nodes += explored
+    # a looser or tighter wipe-out test changes this total
+    assert nodes == total
 
 
 @pytest.mark.parametrize("q, k, rmax, mmax", [(2, 3, 5, 4), (3, 2, 4, 3)])
@@ -516,15 +541,15 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "111100010111010001",
         ]),
         (2, 9, 3, 5, True, 621, None),
-        (3, 4, 2, 3, True, 37, _TETRACODE),
+        (3, 4, 2, 3, True, 34, _TETRACODE),
         (2, 7, 3, 4, False, 64, [
             "0000000", "0010111", "0101011", "0111100",
             "1001101", "1011010", "1100110", "1110001",
         ]),
         (3, 5, 2, 4, False, 213, None),
-        (5, 7, 2, 6, True, 395, None),
-        (3, 11, 2, 9, True, 74959, None),
-        (3, 16, 3, 10, True, 127645, [
+        (5, 7, 2, 6, True, 275, None),
+        (3, 11, 2, 9, True, 48211, None),
+        (3, 16, 3, 10, True, 60754, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
             "0200111022220110", "0210012212202001", "0220102210020222",
@@ -535,7 +560,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "2100221111022200", "2111000211200210", "2121012100220101",
             "2201020002122211", "2211101102001022", "2221222010001110",
         ]),
-        (4, 7, 2, 5, True, 500, [
+        (4, 7, 2, 5, True, 292, [
             "0000000", "0111110", "0201221", "0302132", "1001312", "1100123",
             "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
             "3012022", "3120202", "3221030", "3322313",
@@ -545,7 +570,13 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "1212330", "1313221", "2020223", "2121332", "2222001", "2323110",
             "3030331", "3131220", "3232113", "3333002",
         ]),
-        (4, 6, 2, 5, True, 100, None),
+        (4, 6, 2, 5, True, 76, None),
+        (4, 9, 2, 7, True, 276585, [
+            "000000000", "011111110", "020122221", "030213332", "100231123",
+            "111002232", "121310301", "132021011", "201123033", "212200313",
+            "223031330", "232132102", "303322312", "313233001", "322303120",
+            "333010223",
+        ]),
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
