@@ -8,8 +8,7 @@ guarded to BOUND_TERMS_LIMIT terms in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 BOUND_TERMS_LIMIT = 10**6
 
@@ -64,8 +63,7 @@ def singleton_bound(k: int, d: int) -> int:
     return d + k - 1
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Both bounds for one (q, k, d), with the individual ceiling terms."""
 
     q: int
@@ -76,14 +74,7 @@ class BoundReport:
     terms: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "d": self.d,
-            "griesmer": self.griesmer,
-            "singleton": self.singleton,
-            "terms": list(self.terms),
-        }
+        return {**self._asdict(), "terms": list(self.terms)}
 
 
 def bound_report(q: int, k: int, d: int) -> BoundReport:

@@ -8,26 +8,66 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of the records that validate their fields.
+
+    A subclass names its fields in __slots__ and stores them, once
+    validated, with _set.  Records compare equal when their classes and
+    fields are equal, hash and print by their fields, and reject
+    assignment to a field.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Record):
     """A fixed-length word whose symbols are integers in [0, q)."""
 
+    __slots__ = ("symbols", "q")
     symbols: tuple[int, ...]
     q: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if not self.symbols:
+    def __init__(self, symbols: Iterable[int], q: int) -> None:
+        symbols = tuple(symbols)
+        if q < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {q}")
+        if not symbols:
             raise ValueError("a word needs at least one symbol")
-        for s in self.symbols:
-            if not 0 <= s < self.q:
-                raise ValueError(f"symbol {s} outside [0, {self.q})")
+        for s in symbols:
+            if not 0 <= s < q:
+                raise ValueError(f"symbol {s} outside [0, {q})")
+        self._set(symbols, q)
 
     @classmethod
     def parse(cls, text: str, q: int) -> Word:
@@ -54,28 +94,28 @@ class Word:
         return " ".join(str(s) for s in self.symbols)
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(Record):
     """Parameters (q, n, k, d) of a target systematic code."""
 
+    __slots__ = ("q", "n", "k", "d")
     q: int
     n: int
     k: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"length must be at least 1, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"message length {self.k} outside [1, n={self.n}]")
-        if not 1 <= self.d <= self.n:
-            raise ValueError(f"distance {self.d} outside [1, n={self.n}]")
+    def __init__(self, q: int, n: int, k: int, d: int) -> None:
+        if q < 2:
+            raise ValueError(f"alphabet size must be at least 2, got {q}")
+        if n < 1:
+            raise ValueError(f"length must be at least 1, got {n}")
+        if not 1 <= k <= n:
+            raise ValueError(f"message length {k} outside [1, n={n}]")
+        if not 1 <= d <= n:
+            raise ValueError(f"distance {d} outside [1, n={n}]")
+        self._set(q, n, k, d)
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Record):
     """An immutable collection of distinct equal-length words over one alphabet.
 
     Words are kept in lexicographic order so that iteration, equality,
@@ -83,11 +123,11 @@ class Code:
     construction order.
     """
 
+    __slots__ = ("words",)
     words: tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.words, key=lambda w: w.symbols))
-        object.__setattr__(self, "words", ordered)
+    def __init__(self, words: Iterable[Word]) -> None:
+        ordered = tuple(sorted(words, key=lambda w: w.symbols))
         if not ordered:
             raise ValueError("a code needs at least one word")
         q, length = ordered[0].q, ordered[0].length
@@ -99,6 +139,7 @@ class Code:
         for a, b in zip(ordered, ordered[1:]):
             if a.symbols == b.symbols:
                 raise ValueError(f"duplicate word {a}")
+        self._set(ordered)
 
     @property
     def q(self) -> int:

@@ -16,45 +16,44 @@ witnesses are reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import os
 import sys
-from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import GuardLimitError
-from .core import Code, CodeParams, Word, is_systematic, min_distance
+from .core import Code, CodeParams, Record, Word, is_systematic, min_distance
 
 FULL_SEARCH_PREFIX_LIMIT = 4096
 ORACLE_ASSIGNMENT_LIMIT = 2**24
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(Record):
     """Distinct length-k prefixes for a partial-code search; prefixes[0] must be zero."""
 
+    __slots__ = ("q", "k", "prefixes")
     q: int
     k: int
     prefixes: tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefixes", tuple(self.prefixes))
+    def __init__(self, q: int, k: int, prefixes: Iterable[Word]) -> None:
+        prefixes = tuple(prefixes)
         # the prefixes must be distinct words of one alphabet and one length, as in a code
-        code = Code(self.prefixes)
-        if (code.q, code.length) != (self.q, self.k):
+        code = Code(prefixes)
+        if (code.q, code.length) != (q, k):
             raise ValueError(
-                f"prefixes are over q={code.q}, k={code.length}, expected q={self.q}, k={self.k}"
+                f"prefixes are over q={code.q}, k={code.length}, expected q={q}, k={k}"
             )
-        if any(self.prefixes[0].symbols):
-            raise ValueError(f"the first prefix must be the zero word, got {self.prefixes[0]}")
+        if any(prefixes[0].symbols):
+            raise ValueError(f"the first prefix must be the zero word, got {prefixes[0]}")
+        self._set(q, k, prefixes)
 
     @classmethod
     def from_strings(cls, q: int, k: int, texts: Iterable[str]) -> WitnessSet:
         return cls(q=q, k=k, prefixes=tuple(Word.parse(t, q) for t in texts))
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a feasibility search.
 
     feasible means a witness was found; it has been re-verified against
@@ -484,5 +483,6 @@ def parse_witness_set(text: str) -> WitnessSet:
     return WitnessSet.from_strings(q, k, content[1:])
 
 
-def load_witness_set(path: str | Path) -> WitnessSet:
-    return parse_witness_set(Path(path).read_text(encoding="utf-8"))
+def load_witness_set(path: str | os.PathLike[str]) -> WitnessSet:
+    with open(path, encoding="utf-8") as f:
+        return parse_witness_set(f.read())

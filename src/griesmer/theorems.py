@@ -11,7 +11,6 @@ all q**k prefixes, so refuting any subset of them refutes every code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .bounds import griesmer_sum
@@ -64,8 +63,7 @@ _FAMILIES = {
 THEOREM_IDS = tuple(_FAMILIES)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of checking one case at its critical length params.n.
 
     confirmed means the search was exhausted and found no code, so the

@@ -279,3 +279,20 @@ def test_console_entry_point(cli_env):
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"q":2,"k":3,"d":5,"griesmer":10,"singleton":7,"terms":[5,3,2]}\n'
+
+
+def test_cli_import_loads_no_slow_stdlib_modules(cli_env):
+    # each CLI call pays its imports again; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize.  -S skips site, whose .pth files may
+    # import any of these before the package does
+    script = (
+        "import sys; before = set(sys.modules); import griesmer.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=cli_env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "griesmer.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"}

@@ -38,6 +38,9 @@ def test_word_construction_and_accessors():
 
 def test_word_coerces_symbol_sequences():
     assert Word([1, 0], 2).symbols == (1, 0)
+    assert type(Word([0, 1], 2).symbols) is tuple
+    assert type(Word(iter([0, 1]), 2).symbols) is tuple
+    assert Word([0, 1], 2) == Word((0, 1), 2)
 
 
 def test_word_validation():

@@ -21,6 +21,11 @@ from griesmer.search import (
 from griesmer.theorems import verify
 
 
+# node limit above each pinned count: a prune that loses a witness then
+# fails its test on the limit in seconds instead of searching on unbounded
+_PIN_MARGIN = 1000
+
+
 def _ws(q, k, texts):
     return WitnessSet.from_strings(q, k, texts)
 
@@ -352,10 +357,11 @@ def test_shared_budget_matches_unreduced_random():
         # r = 32 <= 2m = 32
         (21, 5, 9, 6848),
     ],
+    ids=["q2-n11-k8-d2", "q2-n12-k7-d3", "q2-n21-k5-d9"],
 )
 def test_shared_budget_gate(n, k, d, nodes):
-    out = full_search(CodeParams(q=2, n=n, k=k, d=d))
-    assert out.feasible and out.nodes_explored == nodes
+    out = full_search(CodeParams(q=2, n=n, k=k, d=d), node_limit=nodes + _PIN_MARGIN)
+    assert out.feasible and out.exhausted and out.nodes_explored == nodes
 
 
 def test_shared_budget_decides_a_k5_control():
@@ -374,6 +380,7 @@ def test_shared_budget_decides_a_k5_control():
         (3, 2, 6, 4, 43684),
         (4, 2, 5, 3, 24087),
     ],
+    ids=["q3-k2-r6-m4", "q4-k2-r5-m3"],
 )
 def test_column_wipe_out_matches_references_exhaustive(q, k, rmax, mmax, total):
     # every witness set of 3..rmax prefixes (up to equal distance matrices),
@@ -582,7 +589,8 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
     # the pinned search order fixes the DFS's node counts and the first
     # witness found; every refutation here is the pre-check's, with 0 nodes
-    out = full_search(CodeParams(q=q, n=n, k=k, d=d))
+    limit = nodes + _PIN_MARGIN
+    out = full_search(CodeParams(q=q, n=n, k=k, d=d), node_limit=limit)
     assert out.exhausted
     assert out.feasible is (witness is not None)
     if out.feasible and symmetry:
@@ -594,8 +602,8 @@ def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
     # searches always apply the reductions, so the rows without them, and
     # every refutation, pin the DFS alone
     ws = _all_prefixes(q, k)
-    tails, explored, _ = _dfs(ws, n - k, d, symmetry)
-    assert explored == nodes
+    tails, explored, exhausted = _dfs(ws, n - k, d, symmetry, node_limit=limit)
+    assert exhausted and explored == nodes
     found = None if tails is None else [
         str(p) + "".join(map(str, t)) for p, t in zip(ws.prefixes, tails)
     ]
