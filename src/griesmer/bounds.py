@@ -17,11 +17,9 @@ class GuardLimitError(ValueError):
     """An instance exceeds a hard size guard."""
 
 
-def _guard_terms(terms: int) -> None:
+def guard_terms(terms: int, what: str = "the bounds would list {} terms") -> None:
     if terms > BOUND_TERMS_LIMIT:
-        raise GuardLimitError(
-            f"the bounds would list {terms} terms, over the guard {BOUND_TERMS_LIMIT}"
-        )
+        raise GuardLimitError(f"{what.format(terms)}, over the guard {BOUND_TERMS_LIMIT}")
 
 
 def griesmer_term(q: int, j: int, d: int) -> int:
@@ -78,7 +76,7 @@ class BoundReport(NamedTuple):
 
 
 def bound_report(q: int, k: int, d: int) -> BoundReport:
-    _guard_terms(k)
+    guard_terms(k)
     terms = tuple(griesmer_term(q, j, d) for j in range(k))
     return BoundReport(q=q, k=k, d=d, griesmer=sum(terms), singleton=singleton_bound(k, d), terms=terms)
 
@@ -89,7 +87,7 @@ def bound_table(q: int, kmax: int, dmax: int) -> list[BoundReport]:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     if dmax < 1:
         raise ValueError(f"dmax must be at least 1, got {dmax}")
-    _guard_terms(dmax * kmax * (kmax + 1) // 2)
+    guard_terms(dmax * kmax * (kmax + 1) // 2)
     return [bound_report(q, k, d) for k in range(1, kmax + 1) for d in range(1, dmax + 1)]
 
 

@@ -155,15 +155,16 @@ def _backtrack(
     disagree with that one word.
 
     blocked[p] is word i's blocked-symbol mask in force at cell
-    p = (i - 1) * m + c: bit c' * q + s is set when some row j < i holds
-    s in tail column c' and left[i][j] is 0, so the pairwise prune is a
-    test of bit c * q + s.  rowmask[j] is row j's tail as such bits,
-    written when its last column is placed; the zero word's is low,
-    symbol 0 in every column.  An accepted placement writes
-    blocked[p + 1]: blocked[p] OR the masks of the rows it spends to 0,
-    or, when it completes word i, word i + 1's start, the masks of the
-    rows whose slack with word i + 1 is 0.  A re-accept overwrites the
-    entry, so nothing is undone.
+    p = (i - 1) * m + c: bit c' * q + s is set when word i may not hold
+    s in tail column c', so every budget prunes by one bit test.
+    rowmask[j] is row j's tail as such bits; the zero word's is low,
+    symbol 0 in every column.  A budget at 0 sets bits: rowmask[j] for
+    left[i][j], and rowmask[a] & rowmask[b], where word i would agree
+    with both, for a shared budget (see triple).  An accepted placement
+    writes blocked[p + 1], blocked[p] OR the bits of the budgets it
+    spends to 0; a re-accept overwrites it, so nothing is undone.  On
+    entering word i the search writes rowmask[i - 1], and _start builds
+    word i's start mask and three-word table.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     the spend and the refund visit only the rows that agree.
@@ -195,45 +196,40 @@ def _backtrack(
     them; the unreduced path is the reference the tests compare against.
 
     triple adds, for q = 2, a budget on the agreements that word i
-    shares with two earlier words a < b.  Let D(a, b) be their tail
-    distance.  In a binary column where a and b differ, word i agrees
-    with exactly one of them; where they agree, with both or neither.
-    So A_a + A_b = D(a, b) + 2E, where A_a and A_b count the columns in
-    which word i agrees with a and with b, and E those in which it
-    agrees with both.  As A_a <= slack[i][a] and A_b <= slack[i][b],
-    E <= (slack[i][a] + slack[i][b] - D(a, b)) // 2.  shared[i][b][a]
-    starts at that bound: a placement that agrees with both a and b
-    while it is 0 is pruned, an accepted one spends one per pair of rows
-    it agrees with, and undoing it refunds them, so the table is back at
-    its start once word i is undone.  Word i + 1's table is built when
-    word i's last column is placed, from dist[b][a] = D(a, b), one row
-    counted from tails as each word is completed and kept while that
-    word stays placed; a negative entry leaves word i + 1 no tail, so
-    that placement is pruned.  Unlike the pairwise prune this one is
-    not exact, but every solution meets the bound, so it removes only
-    subtrees that hold no solution: the first solution found, and
-    so every outcome and witness, stays the same, and only the node
-    count falls.  Each placement costs O(|agree|^2), so the budget is
-    kept only when r <= 2m: word i's table, i(i-1)/2 entries, is then no
-    larger than the i*m cells above it, and wide searches stay on the
-    pairwise budget alone.  It needs symmetry, so the unreduced path
-    stays the pairwise-only reference.
+    shares with two earlier words a < b, whose tail distance is
+    D(a, b) = m - popcount(rowmask[a] & rowmask[b]).  In a binary column
+    where a and b differ, word i agrees with exactly one of them; where
+    they agree, with both or neither.  So A_a + A_b = D(a, b) + 2E,
+    where A_a and A_b count the columns in which word i agrees with a
+    and with b, and E those in which it agrees with both; as
+    A_a <= slack[i][a] and A_b <= slack[i][b], E is at most
+    (slack[i][a] + slack[i][b] - D(a, b)) // 2.  shared[i][b][a] starts
+    there and is spent and refunded like left, once per pair of rows a
+    placement agrees with.  A negative start leaves word i no tail, so
+    the search backs out of word i - 1's last placement.  The bound is
+    not exact, but every solution meets it, so it removes only subtrees
+    that hold no solution: the first solution found, and so every
+    outcome and witness, stays the same, and only the node count falls.
+    A placement spends O(|agree|^2), so the budget is kept only when
+    r <= 2m: word i's table, i(i-1)/2 entries, is then no larger than
+    the i*m cells above it, and wide searches stay on the pairwise
+    budget alone.  It is off on the unreduced path, the reference.
 
-    The column wipe-out forward-checks a placement whose rows spent to
-    0 add bits to the mask: if a later column c' > c then has all q bits
-    set, word i has no symbol left there, and the placement is pruned.
-    Soundness: a row whose budget is spent can agree with word i in no
-    further column, and precedence never allows a symbol above q - 1,
-    so every tail of word i through this placement overdraws a pairwise
-    budget.  Like triple it removes only subtrees that hold no solution,
-    so outcomes and witnesses stay the same and only the node count
-    falls, and like triple it runs on the reduced path only, so the
-    unreduced path stays the pairwise-only reference.
+    The column wipe-out forward-checks a placement whose budgets spent
+    to 0 add bits to the mask: if a later column c' > c then has all q
+    bits set, word i has no symbol left there, and the placement is
+    pruned.  Soundness: a row whose budget is spent can agree with word
+    i in no further column, a pair whose shared budget is spent can
+    share no further column with word i, and precedence never allows a
+    symbol above q - 1, so every tail of word i through this placement
+    overdraws a budget.  Like triple it removes only subtrees that hold
+    no solution, and it runs on the reduced path only.
 
-    Every attempted symbol placement counts as one node, pruned or not.
-    The pairwise prune costs one bit test.  The wipe-out costs q - 1
-    shifts and ANDs of an m*q-bit integer and runs only on placements
-    that spend a budget to 0.
+    Every attempted symbol placement counts as one node, pruned or not;
+    one that completes word i - 1 but leaves word i no start is undone
+    and counted once.  A prune is one bit test; the wipe-out, q - 1
+    shifts and ANDs of an m*q-bit integer, runs only on placements that
+    spend a budget to 0.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
@@ -245,13 +241,11 @@ def _backtrack(
 
     triple = symmetry and q == 2 and r <= 2 * m
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
-    dist: list[list[int]] = [[] for _ in range(r)]
     shared: list[list[list[int]]] = [[] for _ in range(r)]
     low = sum(1 << c * q for c in range(m))
-    rowmask = [low] + [0] * (r - 1)
+    rowmask = [0] * r
     total = (r - 1) * m
     blocked = [0] * total
-    blocked[0] = 0 if left[1][0] else low
     limit = sys.maxsize if node_limit is None else node_limit
     nodes = 0
     p = 0
@@ -261,7 +255,6 @@ def _backtrack(
         tails_i = tails[i]
         left_i = left[i]
         col = holders[c]
-        mask = blocked[p]
         prev = tails_i[c]
         if prev >= 0:
             agree = col[prev]
@@ -269,7 +262,14 @@ def _backtrack(
             for j in agree:
                 left_i[j] += 1
             if triple:
-                _spend_shared(shared[i], agree, 1)
+                _spend_shared(shared[i], agree, 1, rowmask)
+        elif not c:
+            rowmask[i - 1] = sum(1 << x * q + t for x, t in enumerate(tails[i - 1]))
+            if (start := _start(left_i, rowmask, m, triple)) is None:
+                p -= 1
+                continue
+            blocked[p], shared[i] = start
+        mask = blocked[p]
         hi = q - 1
         if symmetry:
             while hi > 1 and not col[hi - 1]:
@@ -283,31 +283,20 @@ def _backtrack(
             if mask >> (c * q + s) & 1:
                 continue
             agree = col[s]
-            if triple:
-                if _shared_spent(shared[i], agree):
-                    continue
-                if c == m - 1 and i + 1 < r:
-                    word = tails_i[:c] + [s]
-                    dist[i] = [sum(x != y for x, y in zip(word, t)) for t in tails[:i]]
-                    left_n = left[i + 1]
-                    shared[i + 1] = table = [
-                        [(left_n[a] + left_n[b] - dist[b][a]) // 2 for a in range(b)]
-                        for b in range(i + 1)
-                    ]
-                    if any(x < 0 for row in table for x in row):
-                        continue
             after = mask
             for j in agree:
                 if left_i[j] == 1:
                     after |= rowmask[j]
+            if triple:
+                after |= _spend_shared(shared[i], agree, -1, rowmask)
             if after != mask and symmetry:
                 full = after
                 for t in range(1, q):
                     full &= after >> t
                 if full >> (c + 1) * q & low:
+                    if triple:
+                        _spend_shared(shared[i], agree, 1, rowmask)
                     continue
-            if triple:
-                _spend_shared(shared[i], agree, -1)
             for j in agree:
                 left_i[j] -= 1
             agree.append(i)
@@ -315,15 +304,7 @@ def _backtrack(
             p += 1
             if p == total:
                 return tails, nodes, True
-            if c < m - 1:
-                blocked[p] = after
-            else:
-                rowmask[i] = sum(1 << x * q + t for x, t in enumerate(tails_i))
-                after = 0
-                for j, x in enumerate(left[i + 1]):
-                    if not x:
-                        after |= rowmask[j]
-                blocked[p] = after
+            blocked[p] = after
             break
         else:
             tails_i[c] = -1
@@ -332,22 +313,41 @@ def _backtrack(
                 return None, nodes, True
 
 
-def _shared_spent(shared_i: list[list[int]], agree: list[int]) -> bool:
-    """Whether two of the rows in agree leave word i no shared agreement."""
-    for x in range(1, len(agree)):
-        row = shared_i[agree[x]]
-        for a in agree[:x]:
-            if not row[a]:
-                return True
-    return False
+def _start(
+    left_i: list[int], rowmask: list[int], m: int, triple: bool
+) -> tuple[int, list[list[int]]] | None:
+    """Word i's start mask and three-word table from its unspent row, or None if no tail is left."""
+    mask = 0
+    table: list[list[int]] = []
+    for b, x in enumerate(left_i):
+        if not x:
+            mask |= rowmask[b]
+        if triple:
+            row = []
+            for a in range(b):
+                both = rowmask[a] & rowmask[b]
+                e = (left_i[a] + x - m + both.bit_count()) // 2
+                if e < 0:
+                    return None
+                if not e:
+                    mask |= both
+                row.append(e)
+            table.append(row)
+    return mask, table
 
 
-def _spend_shared(shared_i: list[list[int]], agree: list[int], step: int) -> None:
-    """Add step to word i's shared budget of every pair of rows in agree."""
-    for x in range(1, len(agree)):
-        row = shared_i[agree[x]]
+def _spend_shared(
+    shared_i: list[list[int]], agree: list[int], step: int, rowmask: list[int]
+) -> int:
+    """Add step to the shared budget of each pair in agree; return the bits of those left at 0."""
+    cells = 0
+    for x, b in enumerate(agree):
+        row = shared_i[b]
         for a in agree[:x]:
             row[a] += step
+            if not row[a]:
+                cells |= rowmask[a] & rowmask[b]
+    return cells
 
 
 def _verify_witness(witness: Code, prefixes: Sequence[tuple[int, ...]], d: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .bounds import griesmer_sum
+from .bounds import griesmer_sum, guard_terms
 from .core import CodeParams, Word
 from .search import SearchOutcome, WitnessSet, tail_search
 # not called here; re-exported because the benchmark tracer (bench/spans.py) wraps it
@@ -103,17 +103,21 @@ def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> WitnessSet:
     scope: its critical length k - 1 cannot hold a prefix.
 
     Raises ValueError, in one line naming the family and the values,
-    when (q, d, k) is outside the family's scope.
+    when (q, d, k) is outside the family's scope, and GuardLimitError
+    when the prefixes would hold more than BOUND_TERMS_LIMIT symbols.
     """
     family = _FAMILIES.get(theorem_id)
     if family is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     if not family.admits(q, d, k):
         raise ValueError(f"{theorem_id} covers {family.scope}, got q={q}, d={d}, k={k}")
-    words = tuple(
-        Word((0,) * (k - len(p)) + p, q) for p in family.patterns if max(p, default=0) < q
-    )
-    return WitnessSet(q=q, k=k, prefixes=words)
+    patterns = _patterns(family, q)
+    guard_terms(len(patterns) * k, "the witness prefixes would hold {} symbols")
+    return WitnessSet(q=q, k=k, prefixes=(Word((0,) * (k - len(p)) + p, q) for p in patterns))
+
+
+def _patterns(family: _Family, q: int) -> list[tuple[int, ...]]:
+    return [p for p in family.patterns if max(p, default=0) < q]
 
 
 def verify(theorem_id: str, q: int, d: int, k: int, node_limit: int | None = None) -> Verdict:
@@ -124,13 +128,20 @@ def verify(theorem_id: str, q: int, d: int, k: int, node_limit: int | None = Non
 
 
 def verify_all(kmax: int = 4, node_limit: int | None = None) -> list[Verdict]:
-    """Verify every family at its sample points in _FAMILIES, for 2 <= k <= kmax."""
+    """Verify every family at its sample points in _FAMILIES, for 2 <= k <= kmax.
+
+    The cases are listed first, with a running count of their prefix
+    symbols, so a kmax past the guard fails before any case is built.
+    """
     if kmax < 2:
         raise ValueError(f"kmax must be at least 2, got {kmax}")
-    return [
-        verify(theorem_id, q, d, k, node_limit)
-        for theorem_id, family in _FAMILIES.items()
-        for q, d, kcap in family.points
-        for k in range(2, min(kmax, kcap or kmax) + 1)
-        if family.admits(q, d, k)
-    ]
+    cases = []
+    symbols = 0
+    for theorem_id, family in _FAMILIES.items():
+        for q, d, kcap in family.points:
+            for k in range(2, min(kmax, kcap or kmax) + 1):
+                if family.admits(q, d, k):
+                    symbols += len(_patterns(family, q)) * k
+                    guard_terms(symbols, "the witness prefixes would hold at least {} symbols")
+                    cases.append((theorem_id, q, d, k))
+    return [verify(*case, node_limit=node_limit) for case in cases]

@@ -138,12 +138,16 @@ def test_search_full_guard_violation(capsys):
     [
         ["bound", "--q", "2", "--k", str(10**12), "--d", "3"],
         ["table", "--q", "2", "--kmax", str(10**6), "--dmax", str(10**6), "--format", "json"],
+        # without the guard these would build prefixes for hours
+        ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", str(10**8)],
+        ["verify-all", "--kmax", str(10**8), "--format", "json"],
     ],
 )
 def test_bound_guard_violation(cli_env, argv):
-    # a report lists its k terms, so these must fail on the guard before
-    # building any; the child gets 512 MB of address space, so a missing
-    # guard fails here with a MemoryError instead of filling the machine
+    # a report lists its k terms and a case its prefixes' symbols, so these
+    # must fail on the guard before building any; the child gets 512 MB of
+    # address space, so a missing guard fails here with a MemoryError
+    # instead of filling the machine
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from griesmer.bounds import griesmer_sum
+from griesmer import bounds
+from griesmer.bounds import GuardLimitError, griesmer_sum
 from griesmer.core import CodeParams
 from griesmer.search import (
     WitnessSet,
@@ -203,6 +204,26 @@ def test_verify_all_kmax2():
     assert not any(v.theorem_id == "d56_k3" for v in verdicts)
 
 
+def test_prefix_symbols_guard(monkeypatch):
+    # kmax 13, the largest in use, lists 2,100 prefix symbols in all, far
+    # inside the guard; verify_all counts them exactly before any case runs
+    verdicts = verify_all(13)
+    symbols = sum(
+        len(witness_set_for(v.theorem_id, v.params.q, v.params.d, v.params.k).prefixes) * v.params.k
+        for v in verdicts
+    )
+    assert symbols == 2100
+    monkeypatch.setattr(bounds, "BOUND_TERMS_LIMIT", symbols)
+    assert len(verify_all(13)) == len(verdicts)
+    monkeypatch.setattr(bounds, "BOUND_TERMS_LIMIT", symbols - 1)
+    with pytest.raises(GuardLimitError, match="at least 2100 symbols"):
+        verify_all(13)
+    monkeypatch.undo()
+    # one case holds its five prefixes of length k
+    with pytest.raises(GuardLimitError, match="would hold 500000000 symbols"):
+        verify("d56_k3", 2, 5, 10**8)
+
+
 def test_verify_all_kmax3_covers_theorem7():
     verdicts = verify_all(3)
     seen = {(v.theorem_id, v.params.q, v.params.d, v.params.k) for v in verdicts}
@@ -269,7 +290,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {365}
+        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {297}
         assert {_critical_m(v) for v in verdicts} == {7}
 
 
@@ -312,4 +333,4 @@ def test_verify_searches_only_the_first_family():
     solo = tail_search(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs("d56_k3", 2, 5, 3) == (None, 621, True)
+    assert _dfs("d56_k3", 2, 5, 3) == (None, 499, True)
