@@ -21,7 +21,7 @@ import sys
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .bounds import GuardLimitError
+from .bounds import GuardLimitError, guard_terms
 from .core import Code, CodeParams, Record, Word, is_systematic, min_distance
 
 FULL_SEARCH_PREFIX_LIMIT = 4096
@@ -139,7 +139,7 @@ def _backtrack(
     when node_limit aborted the run, as in SearchOutcome.
 
     slack is the table _precheck builds, one row per word; the search
-    spends it in place as left, so a table serves one call.  The search
+    only reads it, so a table serves any number of calls.  The search
     alone decides every instance, so it cross-checks the pre-check: a
     negative slack refutes with 0 nodes, as no tails separate that pair.
 
@@ -147,27 +147,29 @@ def _backtrack(
     filled left to right with symbols tried in increasing order.  Rows
     1..r-1 of tails hold -1 in every column not yet assigned.
 
-    left[i][j] holds the agreements words i and j may still afford,
-    starting at slack.  A placement that agrees with an earlier word
-    whose left is 0 is pruned; an accepted one spends one agreement per
-    word it agrees with, and undoing it refunds them.  This pairwise
-    prune is exact: every other open column can still be made to
-    disagree with that one word.
+    Cells are bits: bit c * q + s stands for symbol s in tail column c,
+    and rowmask[j] is row j's tail as bits (the zero word's is low,
+    symbol 0 in every column).  At cell p = (i - 1) * m + c, w is word
+    i's cells placed so far: 0 at a word's first cell, it gains one bit
+    per accepted placement, and a revisited cell cuts it from rowmask[i]
+    to the columns before c.  Words i and j may agree in at most
+    slack[i][j] tail columns, and word i has used
+    popcount(w & rowmask[j]) of them.  A placement that agrees with a
+    word whose budget is spent is pruned.  This pairwise prune is exact:
+    every other open column can still be made to disagree with that one
+    word.
 
-    blocked[p] is word i's blocked-symbol mask in force at cell
-    p = (i - 1) * m + c: bit c' * q + s is set when word i may not hold
-    s in tail column c', so every budget prunes by one bit test.
-    rowmask[j] is row j's tail as such bits; the zero word's is low,
-    symbol 0 in every column.  A budget at 0 sets bits: rowmask[j] for
-    left[i][j], and rowmask[a] & rowmask[b], where word i would agree
-    with both, for a shared budget (see triple).  An accepted placement
-    writes blocked[p + 1], blocked[p] OR the bits of the budgets it
-    spends to 0; a re-accept overwrites it, so nothing is undone.  On
-    entering word i the search writes rowmask[i - 1], and _start builds
-    word i's start mask and three-word table.
+    blocked[p] is word i's blocked-symbol mask in force at cell p, so
+    every budget prunes by one bit test.  A spent budget sets bits:
+    rowmask[j] for the pair (i, j), and rowmask[a] & rowmask[b], where
+    word i would agree with both, for a pair of rows (see triple).  An
+    accepted placement writes rowmask[i], w plus its own bit, and
+    blocked[p + 1], blocked[p] plus the bits of the budgets it spends;
+    a re-accept overwrites them, so nothing is undone.  On entering word
+    i, _start builds word i's start mask and three-word table.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
-    the spend and the refund visit only the rows that agree.
+    a placement reads only the budgets of the rows that agree.
     At cell (i, c) it holds only rows above i, in increasing order: rows
     are filled in order, so an accepted placement appends i, and undoing
     it pops i, which is then the last entry.  The zero word holds 0 in
@@ -203,20 +205,20 @@ def _backtrack(
     where A_a and A_b count the columns in which word i agrees with a
     and with b, and E those in which it agrees with both; as
     A_a <= slack[i][a] and A_b <= slack[i][b], E is at most
-    (slack[i][a] + slack[i][b] - D(a, b)) // 2.  shared[i][b][a] starts
-    there and is spent and refunded like left, once per pair of rows a
-    placement agrees with.  A negative start leaves word i no tail, so
-    the search backs out of word i - 1's last placement.  The bound is
-    not exact, but every solution meets it, so it removes only subtrees
-    that hold no solution: the first solution found, and so every
-    outcome and witness, stays the same, and only the node count falls.
-    A placement spends O(|agree|^2), so the budget is kept only when
-    r <= 2m: word i's table, i(i-1)/2 entries, is then no larger than
-    the i*m cells above it, and wide searches stay on the pairwise
+    (slack[i][a] + slack[i][b] - D(a, b)) // 2, the start budget in
+    shared[i][b][a], of which word i has used popcount(w & rowmask[a] &
+    rowmask[b]).  A negative start leaves word i no tail, so the search
+    backs out of word i - 1's last placement.  The bound is not exact,
+    but every solution meets it, so it removes only subtrees that hold
+    no solution: the first solution found, and so every outcome and
+    witness, stays the same, and only the node count falls.  A placement
+    reads the budgets of O(|agree|^2) pairs, so the budget is kept only
+    when r <= 2m: word i's table, i(i-1)/2 entries, is then no larger
+    than the i*m cells above it, and wide searches stay on the pairwise
     budget alone.  It is off on the unreduced path, the reference.
 
-    The column wipe-out forward-checks a placement whose budgets spent
-    to 0 add bits to the mask: if a later column c' > c then has all q
+    The column wipe-out forward-checks a placement whose spent budgets
+    add bits to the mask: if a later column c' > c then has all q
     bits set, word i has no symbol left there, and the placement is
     pruned.  Soundness: a row whose budget is spent can agree with word
     i in no further column, a pair whose shared budget is spent can
@@ -227,14 +229,15 @@ def _backtrack(
 
     Every attempted symbol placement counts as one node, pruned or not;
     one that completes word i - 1 but leaves word i no start is undone
-    and counted once.  A prune is one bit test; the wipe-out, q - 1
-    shifts and ANDs of an m*q-bit integer, runs only on placements that
-    spend a budget to 0.
+    and counted once.  A prune is one bit test.  A placement that passes
+    it takes a popcount per agreeing row or pair whose budget is at most
+    reach = c + 1, as only those can be spent after c cells.  The
+    wipe-out, q - 1 shifts and ANDs of an m*q-bit integer, runs only on
+    placements that spend a budget.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
         return None, 0, True
-    left = slack
     tails = [[0] * m] + [[-1] * m for _ in range(r - 1)]
     if r <= 1 or m == 0:
         return tails, 0, True
@@ -243,7 +246,7 @@ def _backtrack(
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     shared: list[list[list[int]]] = [[] for _ in range(r)]
     low = sum(1 << c * q for c in range(m))
-    rowmask = [0] * r
+    rowmask = [low] + [0] * (r - 1)
     total = (r - 1) * m
     blocked = [0] * total
     limit = sys.maxsize if node_limit is None else node_limit
@@ -253,23 +256,20 @@ def _backtrack(
         i = 1 + p // m
         c = p % m
         tails_i = tails[i]
-        left_i = left[i]
+        slack_i = slack[i]
         col = holders[c]
         prev = tails_i[c]
         if prev >= 0:
-            agree = col[prev]
-            agree.pop()
-            for j in agree:
-                left_i[j] += 1
-            if triple:
-                _spend_shared(shared[i], agree, 1, rowmask)
+            col[prev].pop()
+            w = rowmask[i] & (1 << c * q) - 1
         elif not c:
-            rowmask[i - 1] = sum(1 << x * q + t for x, t in enumerate(tails[i - 1]))
-            if (start := _start(left_i, rowmask, m, triple)) is None:
+            w = 0
+            if (start := _start(slack_i, rowmask, m, triple)) is None:
                 p -= 1
                 continue
             blocked[p], shared[i] = start
         mask = blocked[p]
+        reach = c + 1
         hi = q - 1
         if symmetry:
             while hi > 1 and not col[hi - 1]:
@@ -285,26 +285,29 @@ def _backtrack(
             agree = col[s]
             after = mask
             for j in agree:
-                if left_i[j] == 1:
+                if (x := slack_i[j]) <= reach and x - (w & rowmask[j]).bit_count() == 1:
                     after |= rowmask[j]
             if triple:
-                after |= _spend_shared(shared[i], agree, -1, rowmask)
+                shared_i = shared[i]
+                for x, b in enumerate(agree):
+                    both_w = w & rowmask[b]
+                    row = shared_i[b]
+                    for a in agree[:x]:
+                        if (e := row[a]) <= reach and e - (both_w & rowmask[a]).bit_count() == 1:
+                            after |= rowmask[a] & rowmask[b]
             if after != mask and symmetry:
                 full = after
                 for t in range(1, q):
                     full &= after >> t
-                if full >> (c + 1) * q & low:
-                    if triple:
-                        _spend_shared(shared[i], agree, 1, rowmask)
+                if full >> reach * q & low:
                     continue
-            for j in agree:
-                left_i[j] -= 1
             agree.append(i)
             tails_i[c] = s
             p += 1
             if p == total:
                 return tails, nodes, True
             blocked[p] = after
+            rowmask[i] = w = w | 1 << c * q + s
             break
         else:
             tails_i[c] = -1
@@ -314,19 +317,19 @@ def _backtrack(
 
 
 def _start(
-    left_i: list[int], rowmask: list[int], m: int, triple: bool
+    slack_i: list[int], rowmask: list[int], m: int, triple: bool
 ) -> tuple[int, list[list[int]]] | None:
-    """Word i's start mask and three-word table from its unspent row, or None if no tail is left."""
+    """Word i's start mask and three-word table from its slack row, or None if no tail is left."""
     mask = 0
     table: list[list[int]] = []
-    for b, x in enumerate(left_i):
+    for b, x in enumerate(slack_i):
         if not x:
             mask |= rowmask[b]
         if triple:
             row = []
             for a in range(b):
                 both = rowmask[a] & rowmask[b]
-                e = (left_i[a] + x - m + both.bit_count()) // 2
+                e = (slack_i[a] + x - m + both.bit_count()) // 2
                 if e < 0:
                     return None
                 if not e:
@@ -334,20 +337,6 @@ def _start(
                 row.append(e)
             table.append(row)
     return mask, table
-
-
-def _spend_shared(
-    shared_i: list[list[int]], agree: list[int], step: int, rowmask: list[int]
-) -> int:
-    """Add step to the shared budget of each pair in agree; return the bits of those left at 0."""
-    cells = 0
-    for x, b in enumerate(agree):
-        row = shared_i[b]
-        for a in agree[:x]:
-            row[a] += step
-            if not row[a]:
-                cells |= rowmask[a] & rowmask[b]
-    return cells
 
 
 def _verify_witness(witness: Code, prefixes: Sequence[tuple[int, ...]], d: int) -> None:
@@ -366,7 +355,9 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
 
     Runs the pre-check, then the DFS, and re-checks any witness.
     node_limit caps the DFS's attempted symbol placements; the pre-check
-    explores no nodes, so no limit can cut it short.
+    explores no nodes, so no limit can cut it short.  The pre-check's
+    table grows as the square of the prefixes and the DFS's masks with
+    the tail symbols, so both counts are guarded first.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -374,6 +365,12 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
         raise ValueError(f"distance must be at least 1, got {d}")
     if node_limit is not None and node_limit < 1:
         raise ValueError(f"node limit must be at least 1, got {node_limit}")
+    r = len(ws.prefixes)
+    if r > FULL_SEARCH_PREFIX_LIMIT:
+        raise GuardLimitError(
+            f"the search has {r} prefixes, over the guard {FULL_SEARCH_PREFIX_LIMIT}"
+        )
+    guard_terms((r - 1) * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     slack, reason = _precheck(prefixes, ws.q, m, d)
     if reason is not None:

@@ -133,6 +133,22 @@ def test_search_full_guard_violation(capsys):
         assert "exhaustive-prefix guard 4096" in err and len(err) < 200
 
 
+def _run_capped(cli_env, argv):
+    # the child gets 512 MB of address space and 60 s, so a missing guard
+    # fails here with a MemoryError or a timeout instead of filling the machine
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "griesmer.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+        timeout=60,
+        preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -141,27 +157,30 @@ def test_search_full_guard_violation(capsys):
         # without the guard these would build prefixes for hours
         ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", str(10**8)],
         ["verify-all", "--kmax", str(10**8), "--format", "json"],
+        # 3 * (10**7 - 2) tail symbols: the DFS's work per cell grows with m,
+        # so this would run for hours
+        ["search-full", "--q", "2", "--n", str(10**7), "--k", "2", "--d", "3"],
     ],
 )
 def test_bound_guard_violation(cli_env, argv):
-    # a report lists its k terms and a case its prefixes' symbols, so these
-    # must fail on the guard before building any; the child gets 512 MB of
-    # address space, so a missing guard fails here with a MemoryError
-    # instead of filling the machine
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "griesmer.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=cli_env,
-        timeout=60,
-        preexec_fn=cap_memory,
-    )
+    # a report lists its k terms, a case its prefixes' symbols and a search
+    # its tail symbols, so these must fail on the guard before building any
+    proc = _run_capped(cli_env, argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "over the guard 1000000" in proc.stderr and len(proc.stderr) < 200
+
+
+def test_search_tail_prefix_guard(cli_env, tmp_path):
+    # the pre-check's pair table grows as the square of the prefixes; 4,096
+    # take most of a minute, so 60,000 would take hours
+    path = tmp_path / "wide.txt"
+    path.write_text("2 16\n" + "".join(f"{x:016b}\n" for x in range(60_000)), encoding="utf-8")
+    argv = ["search-tail", "--q", "2", "--d", "3", "--tail-len", "10", "--prefixes", str(path)]
+    proc = _run_capped(cli_env, argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "60000 prefixes, over the guard 4096" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_verify_confirmed(capsys):

@@ -199,6 +199,21 @@ def test_determinism():
     assert runs[0].witness == runs[1].witness
 
 
+def test_slack_table_serves_any_number_of_searches():
+    # the DFS only reads the pre-check's table, so a second run on the same
+    # table repeats the first and the table stays as it was
+    prefixes = [w.symbols for w in _all_prefixes(2, 4).prefixes]
+    slack, reason = _precheck(prefixes, 2, 14, 9)
+    assert reason is None
+    before = [row[:] for row in slack]
+    limit = 1708 + _PIN_MARGIN
+    first = _backtrack(slack, 2, 14, limit, True)
+    assert first[0] is not None and first[1:] == (1708, True)
+    assert slack == before
+    assert _backtrack(slack, 2, 14, limit, True) == first
+    assert slack == before
+
+
 def test_naive_oracle_examples():
     assert naive_oracle(_ws(2, 2, ["00", "01", "10"]), 2, 3) is False
     assert naive_oracle(_ws(2, 1, ["0", "1"]), 2, 3) is True
@@ -346,6 +361,21 @@ def test_shared_budget_matches_unreduced_random():
         m = rng.randint((r + 1) // 2, max(5, (r + 1) // 2))
         d = rng.randint(2, m + k)
         _check_against_unreduced(ws, m, d)
+
+
+@pytest.mark.parametrize(
+    "texts, m, d",
+    [
+        (["00000", "00011", "00100", "01001", "10010"], 6, 6),
+        (["0000", "0001", "0010", "0100", "1001"], 7, 6),
+    ],
+    ids=["k5-r5-m6-d6", "k4-r5-m7-d6"],
+)
+def test_shared_budget_matches_unreduced_pinned(texts, m, d):
+    # the smallest feasible searches found (no random case above reaches
+    # them) that a shared budget blocked one agreement early would refute
+    feasible, _ = _check_against_unreduced(_ws(2, len(texts[0]), texts), m, d)
+    assert feasible
 
 
 @pytest.mark.parametrize(
