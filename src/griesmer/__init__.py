@@ -24,7 +24,6 @@ from .search import (
     WitnessSet,
     full_search,
     load_witness_set,
-    naive_oracle,
     parse_witness_set,
     tail_search,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "WitnessSet",
     "full_search",
     "load_witness_set",
-    "naive_oracle",
     "parse_witness_set",
     "tail_search",
     "THEOREM_IDS",

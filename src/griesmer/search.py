@@ -6,8 +6,9 @@ every pair of full words reaches distance at least d.  The zero prefix
 always receives the zero tail: translating all words by the zero-prefix
 word preserves prefixes and pairwise distances, so this loses no
 feasibility.  A pre-check refutes what one counting inequality rules
-out; a DFS decides the rest.  A naive enumeration oracle with no pruning
-and no symmetry reduction is provided as an independent cross-check.
+out; a DFS decides the rest, always with its symmetry reductions.  The
+reference searches that check it are not part of the package: they
+live in tests/reference.py and share no code with it.
 
 Search order is fully pinned (words in the given prefix order, tail
 columns left to right, symbols increasing), so outcomes, node counts and
@@ -25,7 +26,6 @@ from .bounds import GuardLimitError, guard_terms
 from .core import Code, CodeParams, Record, Word, is_systematic, min_distance
 
 FULL_SEARCH_PREFIX_LIMIT = 4096
-ORACLE_ASSIGNMENT_LIMIT = 2**24
 
 
 class WitnessSet(Record):
@@ -131,7 +131,6 @@ def _backtrack(
     q: int,
     m: int,
     node_limit: int | None,
-    symmetry: bool,
 ) -> tuple[list[list[int]] | None, int, bool]:
     """Column-by-column DFS over tail assignments; returns (tails, nodes, exhausted).
 
@@ -175,7 +174,7 @@ def _backtrack(
     it pops i, which is then the last entry.  The zero word holds 0 in
     every column from the start.
 
-    symmetry applies two reductions.  Value precedence: the symbol of
+    Two symmetry reductions apply.  Value precedence: the symbol of
     word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
     nonzero symbol first appears in a column only after every smaller
     one has appeared above it; for word 1 the bound is 1.  Order: the
@@ -194,8 +193,7 @@ def _backtrack(
     symbol, 1s first.  Permuting the tail columns of all words at once
     keeps every distance, and it moves whole columns, so each column
     keeps its precedence.  Every solution thus maps to one inside the
-    reduced space, and feasibility is unchanged.  Searches always apply
-    them; the unreduced path is the reference the tests compare against.
+    reduced space, and feasibility is unchanged.
 
     triple adds, for q = 2, a budget on the agreements that word i
     shares with two earlier words a < b, whose tail distance is
@@ -215,7 +213,7 @@ def _backtrack(
     reads the budgets of O(|agree|^2) pairs, so the budget is kept only
     when r <= 2m: word i's table, i(i-1)/2 entries, is then no larger
     than the i*m cells above it, and wide searches stay on the pairwise
-    budget alone.  It is off on the unreduced path, the reference.
+    budget alone.
 
     The column wipe-out forward-checks a placement whose spent budgets
     add bits to the mask: if a later column c' > c then has all q
@@ -225,7 +223,7 @@ def _backtrack(
     share no further column with word i, and precedence never allows a
     symbol above q - 1, so every tail of word i through this placement
     overdraws a budget.  Like triple it removes only subtrees that hold
-    no solution, and it runs on the reduced path only.
+    no solution.
 
     Every attempted symbol placement counts as one node, pruned or not;
     one that completes word i - 1 but leaves word i no start is undone
@@ -242,7 +240,7 @@ def _backtrack(
     if r <= 1 or m == 0:
         return tails, 0, True
 
-    triple = symmetry and q == 2 and r <= 2 * m
+    triple = q == 2 and r <= 2 * m
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     shared: list[list[list[int]]] = [[] for _ in range(r)]
     low = sum(1 << c * q for c in range(m))
@@ -271,11 +269,10 @@ def _backtrack(
         mask = blocked[p]
         reach = c + 1
         hi = q - 1
-        if symmetry:
-            while hi > 1 and not col[hi - 1]:
-                hi -= 1
-            if i == 1 and c > 0 and tails_i[c - 1] < hi:
-                hi = tails_i[c - 1]
+        while hi > 1 and not col[hi - 1]:
+            hi -= 1
+        if i == 1 and c > 0 and tails_i[c - 1] < hi:
+            hi = tails_i[c - 1]
         for s in range(prev + 1, hi + 1):
             if nodes >= limit:
                 return None, nodes, False
@@ -295,7 +292,7 @@ def _backtrack(
                     for a in agree[:x]:
                         if (e := row[a]) <= reach and e - (both_w & rowmask[a]).bit_count() == 1:
                             after |= rowmask[a] & rowmask[b]
-            if after != mask and symmetry:
+            if after != mask:
                 full = after
                 for t in range(1, q):
                     full &= after >> t
@@ -375,7 +372,7 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     slack, reason = _precheck(prefixes, ws.q, m, d)
     if reason is not None:
         return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit, symmetry=True)
+    tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))
@@ -410,51 +407,6 @@ def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutc
     if outcome.witness is not None and not is_systematic(outcome.witness, k):
         raise RuntimeError("search produced a non-systematic witness")
     return outcome
-
-
-def naive_oracle(ws: WitnessSet, m: int, d: int) -> bool:
-    """Brute-force feasibility with no pruning and no symmetry reduction.
-
-    Enumerates every assignment of length-m tails to the nonzero prefixes
-    (the zero prefix keeps the zero tail) and reports whether any reaches
-    pairwise distance >= d.  Kept deliberately independent of the
-    backtracking engine so the two can cross-check each other.
-    """
-    if m < 0:
-        raise ValueError(f"tail length must be nonnegative, got {m}")
-    if d < 1:
-        raise ValueError(f"distance must be at least 1, got {d}")
-    r = len(ws.prefixes)
-    if _power_exceeds(ws.q, m * (r - 1), ORACLE_ASSIGNMENT_LIMIT):
-        raise GuardLimitError(
-            f"oracle would enumerate {ws.q}**{m * (r - 1)} assignments, "
-            f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"
-        )
-    prefixes = [w.symbols for w in ws.prefixes]
-    fixed = prefixes[0] + (0,) * m
-    tail_space = list(product(range(ws.q), repeat=m))
-    for assignment in product(tail_space, repeat=r - 1):
-        words = [fixed]
-        words.extend(prefixes[i + 1] + t for i, t in enumerate(assignment))
-        if _all_pairs_reach(words, d):
-            return True
-    return False
-
-
-def _all_pairs_reach(words: Sequence[tuple[int, ...]], d: int) -> bool:
-    for i in range(len(words)):
-        wi = words[i]
-        for j in range(i + 1, len(words)):
-            wj = words[j]
-            diff = 0
-            for x, y in zip(wi, wj):
-                if x != y:
-                    diff += 1
-                    if diff >= d:
-                        break
-            if diff < d:
-                return False
-    return True
 
 
 def parse_witness_set(text: str) -> WitnessSet:

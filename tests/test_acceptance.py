@@ -13,7 +13,8 @@ from itertools import combinations
 
 from griesmer.bounds import griesmer_sum
 from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance
-from griesmer.search import WitnessSet, full_search, naive_oracle, tail_search
+from griesmer.search import WitnessSet, full_search, tail_search
+from reference import naive_oracle
 
 
 def _criterion(capsys, number, limit_s, fn):

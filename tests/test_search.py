@@ -1,4 +1,4 @@
-"""Backtracking tail search, the naive oracle, and witness files."""
+"""Backtracking tail search, its reference searches, and witness files."""
 
 import random
 from itertools import combinations, combinations_with_replacement, product
@@ -14,11 +14,11 @@ from griesmer.search import (
     _precheck,
     full_search,
     load_witness_set,
-    naive_oracle,
     parse_witness_set,
     tail_search,
 )
 from griesmer.theorems import verify
+from reference import naive_oracle, unreduced_dfs
 
 
 # node limit above each pinned count: a prune that loses a witness then
@@ -34,10 +34,10 @@ def _all_prefixes(q, k):
     return WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in product(range(q), repeat=k)))
 
 
-def _dfs(ws, m, d, symmetry=True, node_limit=None):
+def _dfs(ws, m, d, node_limit=None):
     """The DFS alone, on the pre-check's slack table but not its verdict."""
     slack, _ = _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)
-    return _backtrack(slack, ws.q, m, node_limit, symmetry)
+    return _backtrack(slack, ws.q, m, node_limit)
 
 
 def _weight_le1_witness_sets(q, k, max_size):
@@ -207,10 +207,10 @@ def test_slack_table_serves_any_number_of_searches():
     assert reason is None
     before = [row[:] for row in slack]
     limit = 1708 + _PIN_MARGIN
-    first = _backtrack(slack, 2, 14, limit, True)
+    first = _backtrack(slack, 2, 14, limit)
     assert first[0] is not None and first[1:] == (1708, True)
     assert slack == before
-    assert _backtrack(slack, 2, 14, limit, True) == first
+    assert _backtrack(slack, 2, 14, limit) == first
     assert slack == before
 
 
@@ -236,6 +236,17 @@ def test_naive_oracle_guard():
         naive_oracle(ws, 2, 0)
 
 
+def test_reference_searches_are_not_in_the_package():
+    # the reference searches live with the tests, outside the library API
+    import griesmer
+    import griesmer.search
+
+    assert "naive_oracle" not in griesmer.__all__
+    assert not hasattr(griesmer, "naive_oracle")
+    for name in ("naive_oracle", "_all_pairs_reach", "ORACLE_ASSIGNMENT_LIMIT"):
+        assert not hasattr(griesmer.search, name), name
+
+
 def test_oracle_equivalence_small_grid():
     for q in (2, 3):
         for k in (1, 2):
@@ -244,7 +255,7 @@ def test_oracle_equivalence_small_grid():
                     for d in range(1, 4):
                         want = naive_oracle(ws, m, d)
                         got = tail_search(ws, m, d).feasible
-                        plain = _dfs(ws, m, d, symmetry=False)[0] is not None
+                        plain = unreduced_dfs(ws, m, d)[0] is not None
                         assert got == plain == want, (q, k, ws.prefixes, m, d)
 
 
@@ -278,21 +289,21 @@ def test_symmetry_flags_individually_preserve_feasibility():
         ws = _random_witness_set(rng)
         m = rng.randint(0, 3)
         d = rng.randint(1, 4)
-        reduced = _dfs(ws, m, d, True)[0] is not None
-        plain = _dfs(ws, m, d, False)[0] is not None
+        reduced = _dfs(ws, m, d)[0] is not None
+        plain = unreduced_dfs(ws, m, d)[0] is not None
         assert reduced == plain == naive_oracle(ws, m, d), (ws.prefixes, m, d)
 
 
 def test_symmetry_option_preserves_feasibility():
-    # searches always apply the reductions; the unreduced DFS is the reference
+    # searches always apply the reductions; the unreduced reference DFS has none
     rng = random.Random(7)
     for _ in range(200):
         ws = _random_witness_set(rng)
         m = rng.randint(0, 3)
         d = rng.randint(1, 4)
         out = tail_search(ws, m, d)
-        reduced = _dfs(ws, m, d, symmetry=True)
-        plain = _dfs(ws, m, d, symmetry=False)
+        reduced = _dfs(ws, m, d)
+        plain = unreduced_dfs(ws, m, d)
         assert out.exhausted and reduced[2] and plain[2]
         assert out.feasible == (reduced[0] is not None) == (plain[0] is not None), (ws.prefixes, m, d)
         if not out.feasible:
@@ -311,17 +322,17 @@ def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
             want = naive_oracle(ws, m, d)
             assert tail_search(ws, m, d).feasible == want, (ws.prefixes, m, d)
             # the DFS alone, so that cases the pre-check settles still test it
-            reduced = _dfs(ws, m, d, True)
-            plain = _dfs(ws, m, d, False)
+            reduced = _dfs(ws, m, d)
+            plain = unreduced_dfs(ws, m, d)
             assert (reduced[0] is not None) == (plain[0] is not None) == want, (ws.prefixes, m, d)
             if not want:
                 assert reduced[1] <= plain[1], (ws.prefixes, m, d)
 
 
 def _check_against_unreduced(ws, m, d):
-    """Reduced and unreduced DFS agree; a reduced refutation visits no more nodes."""
-    reduced = _dfs(ws, m, d, True)
-    plain = _dfs(ws, m, d, False)
+    """The engine and the reference DFS agree; a refutation by the engine visits no more nodes."""
+    reduced = _dfs(ws, m, d)
+    plain = unreduced_dfs(ws, m, d)
     assert reduced[2] and plain[2]
     feasible = reduced[0] is not None
     assert feasible == (plain[0] is not None), (ws.prefixes, m, d)
@@ -567,9 +578,9 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 
 
 @pytest.mark.parametrize(
-    "q, n, k, d, symmetry, nodes, witness",
+    "q, n, k, d, nodes, witness",
     [
-        (2, 18, 4, 9, True, 1708, [
+        (2, 18, 4, 9, 1708, [
             "000000000000000000", "000111111111000000", "001000000011111111",
             "001100111100001111", "010001011100110011", "010101100101111100",
             "011011011010011100", "011111100010100011", "100010101110110101",
@@ -577,16 +588,11 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "110000111011101010", "110110000110001110", "111001101001000101",
             "111100010111010001",
         ]),
-        (2, 9, 3, 5, True, 499, None),
-        (3, 4, 2, 3, True, 34, _TETRACODE),
-        (2, 7, 3, 4, False, 64, [
-            "0000000", "0010111", "0101011", "0111100",
-            "1001101", "1011010", "1100110", "1110001",
-        ]),
-        (3, 5, 2, 4, False, 213, None),
-        (5, 7, 2, 6, True, 275, None),
-        (3, 11, 2, 9, True, 48211, None),
-        (3, 16, 3, 10, True, 60754, [
+        (2, 9, 3, 5, 499, None),
+        (3, 4, 2, 3, 34, _TETRACODE),
+        (5, 7, 2, 6, 275, None),
+        (3, 11, 2, 9, 48211, None),
+        (3, 16, 3, 10, 60754, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
             "0200111022220110", "0210012212202001", "0220102210020222",
@@ -597,18 +603,13 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "2100221111022200", "2111000211200210", "2121012100220101",
             "2201020002122211", "2211101102001022", "2221222010001110",
         ]),
-        (4, 7, 2, 5, True, 292, [
+        (4, 7, 2, 5, 292, [
             "0000000", "0111110", "0201221", "0302132", "1001312", "1100123",
             "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
             "3012022", "3120202", "3221030", "3322313",
         ]),
-        (4, 7, 2, 5, False, 1443, [
-            "0000000", "0101111", "0202222", "0303333", "1010112", "1111003",
-            "1212330", "1313221", "2020223", "2121332", "2222001", "2323110",
-            "3030331", "3131220", "3232113", "3333002",
-        ]),
-        (4, 6, 2, 5, True, 76, None),
-        (4, 9, 2, 7, True, 276585, [
+        (4, 6, 2, 5, 76, None),
+        (4, 9, 2, 7, 276585, [
             "000000000", "011111110", "020122221", "030213332", "100231123",
             "111002232", "121310301", "132021011", "201123033", "212200313",
             "223031330", "232132102", "303322312", "313233001", "322303120",
@@ -617,28 +618,46 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
     ],
     # ids name the instance, not its count, so a re-pin keeps the test's name
     ids=[
-        "q2-n18-k4-d9", "q2-n9-k3-d5", "q3-n4-k2-d3", "q2-n7-k3-d4-unreduced",
-        "q3-n5-k2-d4-unreduced", "q5-n7-k2-d6", "q3-n11-k2-d9", "q3-n16-k3-d10",
-        "q4-n7-k2-d5", "q4-n7-k2-d5-unreduced", "q4-n6-k2-d5", "q4-n9-k2-d7",
+        "q2-n18-k4-d9", "q2-n9-k3-d5", "q3-n4-k2-d3", "q5-n7-k2-d6", "q3-n11-k2-d9",
+        "q3-n16-k3-d10", "q4-n7-k2-d5", "q4-n6-k2-d5", "q4-n9-k2-d7",
     ],
 )
-def test_full_search_pinned_outcomes(q, n, k, d, symmetry, nodes, witness):
+def test_full_search_pinned_outcomes(q, n, k, d, nodes, witness):
     # the pinned search order fixes the DFS's node counts and the first
     # witness found; every refutation here is the pre-check's, with 0 nodes
     limit = nodes + _PIN_MARGIN
     out = full_search(CodeParams(q=q, n=n, k=k, d=d), node_limit=limit)
     assert out.exhausted
-    assert out.feasible is (witness is not None)
-    if out.feasible and symmetry:
+    if witness is not None:
         assert out.nodes_explored == nodes
         assert out.to_dict()["witness"] == witness
         return
-    if not out.feasible:
-        assert out.nodes_explored == 0
-    # searches always apply the reductions, so the rows without them, and
-    # every refutation, pin the DFS alone
+    assert not out.feasible and out.nodes_explored == 0
+    # so each refutation pins the DFS alone
+    assert _dfs(_all_prefixes(q, k), n - k, d, node_limit=limit) == (None, nodes, True)
+
+
+@pytest.mark.parametrize(
+    "q, n, k, d, nodes, witness",
+    [
+        (2, 7, 3, 4, 64, [
+            "0000000", "0010111", "0101011", "0111100",
+            "1001101", "1011010", "1100110", "1110001",
+        ]),
+        (3, 5, 2, 4, 213, None),
+        (4, 7, 2, 5, 1443, [
+            "0000000", "0101111", "0202222", "0303333", "1010112", "1111003",
+            "1212330", "1313221", "2020223", "2121332", "2222001", "2323110",
+            "3030331", "3131220", "3232113", "3333002",
+        ]),
+    ],
+    ids=["q2-n7-k3-d4-unreduced", "q3-n5-k2-d4-unreduced", "q4-n7-k2-d5-unreduced"],
+)
+def test_reference_pinned_outcomes(q, n, k, d, nodes, witness):
+    # the reference DFS walks the engine's search order with none of its
+    # reductions, so it pins its own node counts and first witnesses
     ws = _all_prefixes(q, k)
-    tails, explored, exhausted = _dfs(ws, n - k, d, symmetry, node_limit=limit)
+    tails, explored, exhausted = unreduced_dfs(ws, n - k, d, node_limit=nodes + _PIN_MARGIN)
     assert exhausted and explored == nodes
     found = None if tails is None else [
         str(p) + "".join(map(str, t)) for p, t in zip(ws.prefixes, tails)

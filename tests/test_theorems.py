@@ -30,7 +30,7 @@ def _dfs(theorem_id, q, d, k):
     ws = witness_set_for(theorem_id, q, d, k)
     m = griesmer_sum(q, k, d) - 1 - k
     slack, _ = _precheck([w.symbols for w in ws.prefixes], q, m, d)
-    return _backtrack(slack, q, m, None, True)
+    return _backtrack(slack, q, m, None)
 
 
 def test_theorem_ids():
