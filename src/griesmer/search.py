@@ -215,23 +215,36 @@ def _backtrack(
     than the i*m cells above it, and wide searches stay on the pairwise
     budget alone.
 
-    The column wipe-out forward-checks a placement whose spent budgets
-    add bits to the mask: if a later column c' > c then has all q
-    bits set, word i has no symbol left there, and the placement is
-    pruned.  Soundness: a row whose budget is spent can agree with word
-    i in no further column, a pair whose shared budget is spent can
-    share no further column with word i, and precedence never allows a
-    symbol above q - 1, so every tail of word i through this placement
-    overdraws a budget.  Like triple it removes only subtrees that hold
-    no solution.
+    Unit propagation (_propagate) forward-checks a placement whose spent
+    budgets add bits to the mask, in rounds over the open columns
+    c' > c.  A column with no free symbol (none whose bit is unset)
+    prunes the placement.  A column with exactly one is forced: its
+    cell joins word i's cells and the column closes.  A row that agrees
+    with a forced cell and is then over its slack prunes the placement;
+    one at its slack blocks its symbols in the open columns.  The rounds
+    end when one forces nothing.  Soundness: a row whose budget is spent
+    can agree with word i in no further column, a pair whose shared
+    budget is spent can share no further column with word i, and all q
+    symbols count, precedence or not, so every tail of word i through
+    this placement puts the forced symbol in each forced column.  The
+    forced agreements are thus real, and a prune removes only subtrees
+    that hold no solution: as with triple, every outcome and witness
+    stays the same.  Three-word budgets enter only through the mask
+    bits; forced cells are checked against the pairwise budgets alone.
+    The propagated bits are not kept: a row that a forced cell brings
+    to its slack blocks that cell's own symbol.
 
-    Every attempted symbol placement counts as one node, pruned or not;
-    one that completes word i - 1 but leaves word i no start is undone
-    and counted once.  A prune is one bit test.  A placement that passes
-    it takes a popcount per agreeing row or pair whose budget is at most
-    reach = c + 1, as only those can be spent after c cells.  The
-    wipe-out, q - 1 shifts and ANDs of an m*q-bit integer, runs only on
-    placements that spend a budget.
+    Every attempted symbol placement counts as one node, pruned or not,
+    a propagation prune included; one that completes word i - 1 but
+    leaves word i no start is undone and counted once.  A prune is one
+    bit test.  A placement that passes it takes a popcount per agreeing
+    row or pair whose budget is at most reach = c + 1, as only those can
+    be spent after c cells.  The propagation runs only on placements
+    that spend a budget: a round is about 5q shifts, ANDs and ORs of an
+    m*q-bit integer, plus a popcount per row that agrees with a cell it
+    forces and whose slack is at most the decided columns (no other row
+    can be at its slack).  On the feasible controls a node costs about
+    1.5 times as much and there are half as many.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
@@ -292,12 +305,10 @@ def _backtrack(
                     for a in agree[:x]:
                         if (e := row[a]) <= reach and e - (both_w & rowmask[a]).bit_count() == 1:
                             after |= rowmask[a] & rowmask[b]
-            if after != mask:
-                full = after
-                for t in range(1, q):
-                    full &= after >> t
-                if full >> reach * q & low:
-                    continue
+            if after != mask and not _propagate(
+                after, w | 1 << c * q + s, low >> reach * q << reach * q, reach, q, slack_i, rowmask
+            ):
+                continue
             agree.append(i)
             tails_i[c] = s
             p += 1
@@ -311,6 +322,42 @@ def _backtrack(
             p -= 1
             if p < 0:
                 return None, nodes, True
+
+
+def _propagate(
+    mask: int, cells: int, opened: int, decided: int, q: int, slack_i: list[int], rowmask: list[int]
+) -> bool:
+    """Unit propagation over word i's open columns (see _backtrack); False prunes.
+
+    mask is the placement's mask, cells word i's cells with it, opened
+    the low bit of every open column, and decided the columns placed.
+    """
+    while opened:
+        # the open columns with at least one free symbol, and with at least two
+        free = ~mask
+        some = free & opened
+        two = 0
+        for t in range(1, q):
+            x = free >> t & opened
+            two |= some & x
+            some |= x
+        if some != opened:
+            return False
+        one = some ^ two
+        if not one:
+            break
+        opened ^= one
+        decided += one.bit_count()
+        forced = free & one * ((1 << q) - 1)
+        cells |= forced
+        for j, x in enumerate(slack_i):
+            if x <= decided and forced & (row := rowmask[j]):
+                u = x - (cells & row).bit_count()
+                if u < 0:
+                    return False
+                if not u:
+                    mask |= row
+    return True
 
 
 def _start(

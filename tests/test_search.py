@@ -206,9 +206,9 @@ def test_slack_table_serves_any_number_of_searches():
     slack, reason = _precheck(prefixes, 2, 14, 9)
     assert reason is None
     before = [row[:] for row in slack]
-    limit = 1708 + _PIN_MARGIN
+    limit = 1320 + _PIN_MARGIN
     first = _backtrack(slack, 2, 14, limit)
-    assert first[0] is not None and first[1:] == (1708, True)
+    assert first[0] is not None and first[1:] == (1320, True)
     assert slack == before
     assert _backtrack(slack, 2, 14, limit) == first
     assert slack == before
@@ -283,34 +283,6 @@ def test_oracle_equivalence_random_prefixes():
         assert tail_search(ws, m, d).feasible == naive_oracle(ws, m, d), (ws.prefixes, m, d)
 
 
-def test_symmetry_flags_individually_preserve_feasibility():
-    rng = random.Random(101)
-    for _ in range(150):
-        ws = _random_witness_set(rng)
-        m = rng.randint(0, 3)
-        d = rng.randint(1, 4)
-        reduced = _dfs(ws, m, d)[0] is not None
-        plain = unreduced_dfs(ws, m, d)[0] is not None
-        assert reduced == plain == naive_oracle(ws, m, d), (ws.prefixes, m, d)
-
-
-def test_symmetry_option_preserves_feasibility():
-    # searches always apply the reductions; the unreduced reference DFS has none
-    rng = random.Random(7)
-    for _ in range(200):
-        ws = _random_witness_set(rng)
-        m = rng.randint(0, 3)
-        d = rng.randint(1, 4)
-        out = tail_search(ws, m, d)
-        reduced = _dfs(ws, m, d)
-        plain = unreduced_dfs(ws, m, d)
-        assert out.exhausted and reduced[2] and plain[2]
-        assert out.feasible == (reduced[0] is not None) == (plain[0] is not None), (ws.prefixes, m, d)
-        if not out.feasible:
-            # a full refutation explores a subtree of the unreduced tree
-            assert out.nodes_explored <= reduced[1] <= plain[1], (ws.prefixes, m, d)
-
-
 @pytest.mark.parametrize("q, k, r, m", [(3, 2, 4, 3), (3, 2, 5, 2), (4, 2, 4, 2)])
 def test_value_precedence_matches_oracle_exhaustive(q, k, r, m):
     # q >= 3 and r >= 4 make the precedence bound bind at words 2 and beyond,
@@ -339,6 +311,24 @@ def _check_against_unreduced(ws, m, d):
     if not feasible:
         assert reduced[1] <= plain[1], (ws.prefixes, m, d)
     return feasible, reduced[1]
+
+
+def test_engine_matches_references_random():
+    # small random searches, with the pre-check and without it; tails up to
+    # m = 6 leave the propagation columns to force
+    for seed, cases in ((101, 150), (7, 200)):
+        rng = random.Random(seed)
+        for _ in range(cases):
+            ws = _random_witness_set(rng)
+            m = rng.randint(0, 6)
+            d = rng.randint(1, 4)
+            out = tail_search(ws, m, d)
+            feasible, nodes = _check_against_unreduced(ws, m, d)
+            assert out.exhausted and out.feasible is feasible, (ws.prefixes, m, d)
+            # a refutation by the pre-check visits no node, one by the DFS the same nodes
+            assert feasible or out.nodes_explored in (0, nodes), (ws.prefixes, m, d)
+            if ws.q ** (m * (len(ws.prefixes) - 1)) <= 2**12:
+                assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
 
 
 def test_shared_budget_matches_references_exhaustive():
@@ -394,9 +384,9 @@ def test_shared_budget_matches_unreduced_pinned(texts, m, d):
     [
         # r > 2m: the gate keeps these wide searches on the pairwise budget
         (11, 8, 2, 895),
-        (12, 7, 3, 1627),
+        (12, 7, 3, 1345),
         # r = 32 <= 2m = 32
-        (21, 5, 9, 3178),
+        (21, 5, 9, 2364),
     ],
     ids=["q2-n11-k8-d2", "q2-n12-k7-d3", "q2-n21-k5-d9"],
 )
@@ -406,10 +396,10 @@ def test_shared_budget_gate(n, k, d, nodes):
 
 
 def test_shared_budget_decides_a_k5_control():
-    # a witness the pairwise budget alone does not reach in 400,000 nodes
+    # the pairwise budget alone takes 297,507 nodes to a witness here
     out = full_search(CodeParams(q=2, n=26, k=5, d=12), node_limit=100_000)
     assert out.feasible and out.exhausted
-    assert out.nodes_explored == 7961
+    assert out.nodes_explored == 5925
     assert min_distance(out.witness) >= 12
     assert is_systematic(out.witness, 5)
 
@@ -417,16 +407,17 @@ def test_shared_budget_decides_a_k5_control():
 @pytest.mark.parametrize(
     "q, k, rmax, mmax, total",
     [
-        # without the column wipe-out these totals are 51,784 and 24,217
-        (3, 2, 6, 4, 43684),
+        # with the column wipe-out alone these totals are 43,684 and 24,087,
+        # and with no forward check 51,784 and 24,217
+        (3, 2, 6, 4, 40558),
         (4, 2, 5, 3, 24087),
     ],
     ids=["q3-k2-r6-m4", "q4-k2-r5-m3"],
 )
-def test_column_wipe_out_matches_references_exhaustive(q, k, rmax, mmax, total):
+def test_unit_propagation_matches_references_exhaustive(q, k, rmax, mmax, total):
     # every witness set of 3..rmax prefixes (up to equal distance matrices),
     # every 2 <= m <= mmax and every d <= m + k; with m = 1 no column is
-    # left after the one placed, so the wipe-out cannot fire
+    # left after the one placed, so the propagation cannot fire
     nodes = 0
     for r in range(3, rmax + 1):
         for ws in _distinct_witness_sets(q, k, r):
@@ -436,7 +427,7 @@ def test_column_wipe_out_matches_references_exhaustive(q, k, rmax, mmax, total):
                     if q ** (m * (r - 1)) <= 2**12:
                         assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
                     nodes += explored
-    # a looser or tighter wipe-out test changes this total
+    # a looser or tighter propagation changes this total
     assert nodes == total
 
 
@@ -580,7 +571,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 @pytest.mark.parametrize(
     "q, n, k, d, nodes, witness",
     [
-        (2, 18, 4, 9, 1708, [
+        (2, 18, 4, 9, 1320, [
             "000000000000000000", "000111111111000000", "001000000011111111",
             "001100111100001111", "010001011100110011", "010101100101111100",
             "011011011010011100", "011111100010100011", "100010101110110101",
@@ -588,11 +579,11 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "110000111011101010", "110110000110001110", "111001101001000101",
             "111100010111010001",
         ]),
-        (2, 9, 3, 5, 499, None),
+        (2, 9, 3, 5, 439, None),
         (3, 4, 2, 3, 34, _TETRACODE),
-        (5, 7, 2, 6, 275, None),
-        (3, 11, 2, 9, 48211, None),
-        (3, 16, 3, 10, 60754, [
+        (5, 7, 2, 6, 155, None),
+        (3, 11, 2, 9, 18832, None),
+        (3, 16, 3, 10, 29380, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
             "0200111022220110", "0210012212202001", "0220102210020222",
@@ -603,13 +594,13 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "2100221111022200", "2111000211200210", "2121012100220101",
             "2201020002122211", "2211101102001022", "2221222010001110",
         ]),
-        (4, 7, 2, 5, 292, [
+        (4, 7, 2, 5, 204, [
             "0000000", "0111110", "0201221", "0302132", "1001312", "1100123",
             "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
             "3012022", "3120202", "3221030", "3322313",
         ]),
-        (4, 6, 2, 5, 76, None),
-        (4, 9, 2, 7, 276585, [
+        (4, 6, 2, 5, 52, None),
+        (4, 9, 2, 7, 139109, [
             "000000000", "011111110", "020122221", "030213332", "100231123",
             "111002232", "121310301", "132021011", "201123033", "212200313",
             "223031330", "232132102", "303322312", "313233001", "322303120",

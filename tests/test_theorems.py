@@ -290,7 +290,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {297}
+        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {273}
         assert {_critical_m(v) for v in verdicts} == {7}
 
 
@@ -333,4 +333,4 @@ def test_verify_searches_only_the_first_family():
     solo = tail_search(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs("d56_k3", 2, 5, 3) == (None, 499, True)
+    assert _dfs("d56_k3", 2, 5, 3) == (None, 439, True)
