@@ -313,22 +313,30 @@ def _check_against_unreduced(ws, m, d):
     return feasible, reduced[1]
 
 
-def test_engine_matches_references_random():
-    # small random searches, with the pre-check and without it; tails up to
-    # m = 6 leave the propagation columns to force
-    for seed, cases in ((101, 150), (7, 200)):
-        rng = random.Random(seed)
-        for _ in range(cases):
-            ws = _random_witness_set(rng)
-            m = rng.randint(0, 6)
-            d = rng.randint(1, 4)
-            out = tail_search(ws, m, d)
-            feasible, nodes = _check_against_unreduced(ws, m, d)
-            assert out.exhausted and out.feasible is feasible, (ws.prefixes, m, d)
-            # a refutation by the pre-check visits no node, one by the DFS the same nodes
-            assert feasible or out.nodes_explored in (0, nodes), (ws.prefixes, m, d)
-            if ws.q ** (m * (len(ws.prefixes) - 1)) <= 2**12:
-                assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+def _check_random_against_references(seed, cases):
+    """Small random searches by the engine, which always applies its symmetry
+    reductions, against the unreduced reference DFS and, where small enough,
+    the oracle; tails up to m = 6 leave the propagation columns to force."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        ws = _random_witness_set(rng)
+        m = rng.randint(0, 6)
+        d = rng.randint(1, 4)
+        out = tail_search(ws, m, d)
+        feasible, nodes = _check_against_unreduced(ws, m, d)
+        assert out.exhausted and out.feasible is feasible, (ws.prefixes, m, d)
+        # a refutation by the pre-check visits no node, one by the DFS the same nodes
+        assert feasible or out.nodes_explored in (0, nodes), (ws.prefixes, m, d)
+        if ws.q ** (m * (len(ws.prefixes) - 1)) <= 2**12:
+            assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+
+
+def test_symmetry_flags_individually_preserve_feasibility():
+    _check_random_against_references(101, 150)
+
+
+def test_symmetry_option_preserves_feasibility():
+    _check_random_against_references(7, 200)
 
 
 def test_shared_budget_matches_references_exhaustive():
