@@ -168,20 +168,28 @@ def distance(a: Word, b: Word) -> int:
     return sum(1 for x, y in zip(a.symbols, b.symbols) if x != y)
 
 
+def one_hot(symbols: Iterable[int], q: int) -> int:
+    """The symbols as bits: bit c * q + s is set where position c holds s.
+
+    Two such words of length n agree exactly where they share a bit, so
+    their Hamming distance is n - popcount(a & b).
+    """
+    return sum(1 << c * q + s for c, s in enumerate(symbols))
+
+
 def min_distance(code: Code) -> int:
     """Smallest pairwise distance over all distinct word pairs."""
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two words")
-    words = code.words
-    best = code.length
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            dist = distance(words[i], words[j])
-            if dist < best:
-                best = dist
-                if best == 1:
-                    return 1
-    return best
+    n = code.length
+    bits = [one_hot(w.symbols, code.q) for w in code]
+    # the most positions in which two distinct words agree; at most n - 1
+    most = 0
+    for i, a in enumerate(bits[:-1]):
+        most = max(most, max(map(int.bit_count, map(a.__and__, bits[i + 1 :]))))
+        if most == n - 1:
+            break
+    return n - most
 
 
 def is_systematic(code: Code, k: int) -> bool:

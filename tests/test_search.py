@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from griesmer.core import CodeParams, Word, is_systematic, min_distance
+from griesmer.core import Code, CodeParams, Word, is_systematic, min_distance
 from griesmer.search import (
     FULL_SEARCH_PREFIX_LIMIT,
     GuardLimitError,
@@ -339,6 +339,24 @@ def test_symmetry_option_preserves_feasibility():
     _check_random_against_references(7, 200)
 
 
+def test_pigeonhole_count_matches_references_random():
+    # q up to 5, so that columns have up to five symbols to share among
+    # the rows near their slack; up to five prefixes and tails up to
+    # m = 5 keep the unreduced DFS small
+    rng = random.Random(59)
+    for _ in range(400):
+        q = rng.randint(2, 5)
+        k = rng.randint(1, 2)
+        pool = sorted(product(range(q), repeat=k))
+        others = rng.sample(pool[1:], rng.randint(1, min(4, len(pool) - 1)))
+        ws = WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + others))
+        m = rng.randint(1, 5)
+        d = rng.randint(2, m + k)
+        feasible, _ = _check_against_unreduced(ws, m, d)
+        if q ** (m * len(others)) <= 2**12:
+            assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+
+
 def test_shared_budget_matches_references_exhaustive():
     # every binary witness set of up to six prefixes with k <= 3 (up to
     # equal distance matrices), every m <= 5 and every d <= m + k (a larger
@@ -392,7 +410,7 @@ def test_shared_budget_matches_unreduced_pinned(texts, m, d):
     [
         # r > 2m: the gate keeps these wide searches on the pairwise budget
         (11, 8, 2, 895),
-        (12, 7, 3, 1345),
+        (12, 7, 3, 1331),
         # r = 32 <= 2m = 32
         (21, 5, 9, 2364),
     ],
@@ -417,7 +435,7 @@ def test_shared_budget_decides_a_k5_control():
     [
         # with the column wipe-out alone these totals are 43,684 and 24,087,
         # and with no forward check 51,784 and 24,217
-        (3, 2, 6, 4, 40558),
+        (3, 2, 6, 4, 40501),
         (4, 2, 5, 3, 24087),
     ],
     ids=["q3-k2-r6-m4", "q4-k2-r5-m3"],
@@ -534,6 +552,26 @@ def test_precheck_pair_refutation_stops_at_the_first_row():
     assert slack == [[], [-1]]
 
 
+def test_one_hot_distances_match_the_zip_definition():
+    # min_distance and the pre-check's slack table read distances as
+    # popcounts of one-hot words; both must count the differing positions
+    rng = random.Random(29)
+    for _ in range(300):
+        q = rng.randint(2, 5)
+        k = rng.randint(1, 5)
+        words = sorted({tuple(rng.randrange(q) for _ in range(k)) for _ in range(rng.randint(2, 12))})
+        if len(words) < 2:
+            continue
+        dist = {(a, b): sum(x != y for x, y in zip(a, b)) for a in words for b in words}
+        code = Code(Word(w, q) for w in words)
+        assert min_distance(code) == min(dist[a, b] for a, b in combinations(words, 2))
+        m, d = rng.randint(0, 4), rng.randint(1, 6)
+        slack, _ = _precheck(words, q, m, d)
+        # the table may stop at its first row with a negative slack
+        want = [[m - d + dist[a, b] for b in words[:i]] for i, a in enumerate(words)]
+        assert slack == want[: len(slack)], (words, m, d)
+
+
 def test_monotone_in_m():
     rng = random.Random(13)
     for _ in range(150):
@@ -589,9 +627,9 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
         ]),
         (2, 9, 3, 5, 439, None),
         (3, 4, 2, 3, 34, _TETRACODE),
-        (5, 7, 2, 6, 155, None),
-        (3, 11, 2, 9, 18832, None),
-        (3, 16, 3, 10, 29380, [
+        (5, 7, 2, 6, 75, None),
+        (3, 11, 2, 9, 2056, None),
+        (3, 16, 3, 10, 10732, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
             "0200111022220110", "0210012212202001", "0220102210020222",
@@ -607,8 +645,8 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
             "3012022", "3120202", "3221030", "3322313",
         ]),
-        (4, 6, 2, 5, 52, None),
-        (4, 9, 2, 7, 139109, [
+        (4, 6, 2, 5, 40, None),
+        (4, 9, 2, 7, 108681, [
             "000000000", "011111110", "020122221", "030213332", "100231123",
             "111002232", "121310301", "132021011", "201123033", "212200313",
             "223031330", "232132102", "303322312", "313233001", "322303120",
