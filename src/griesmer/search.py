@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import GuardLimitError, guard_terms
@@ -115,7 +115,7 @@ def _precheck(
     top = len(prefixes[0]) + m - d
     bits = [one_hot(p, q) for p in prefixes]
     for i, p in enumerate(bits):
-        row = list(map(top.__sub__, map(int.bit_count, map(p.__and__, bits[:i]))))
+        row = [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))]
         slack.append(row)
         if row and min(row) < 0:
             return slack, ("pair", row.index(min(row)), i)
@@ -250,23 +250,24 @@ def _backtrack(
     a prune removes only subtrees that hold no solution; every outcome
     and witness stays the same.  A row whose budget is spent stays in
     R, but every cell it holds is blocked, so it adds 0 to both sides.
+
     counts[p] holds, at cell p, the two sets' budget sums and six bit
     planes of m*q bits stacked in one integer, set 2 in the upper three:
     plane t of a set holds the cells that at least t of its rows hold,
     so a column's minimum is at least t where all its free cells lie in
-    plane t, and the planes where they do add up to min(minimum, 3).
-    A row joins a set
-    when its budget falls to the set's bound, in one saturating step on
-    the planes; budgets only fall along a word, so a set only grows, and
-    _start builds a word's first counts from its slack row.  The count
-    runs only when the placement spends a budget or moves a row into a
-    set; otherwise it would read the planes, mask and budgets of the
-    previous cell, less the column just placed.  The column wipe-out is
-    the count's budget-0 case: the rows with b_j = 0 hold only blocked
-    cells, so a column whose free cells all lie in their plane has none,
-    and a budget sum of 0 prunes it.  _propagate finds those columns in
-    the pass that also finds the forced ones, and again after each round
-    of forcing, so the count does not keep a plane for them.
+    plane t, and the planes where they do add up to min(minimum, 3).  A
+    row joins a set when its budget falls to the set's bound, in one
+    saturating step on the planes; budgets only fall along a word, so a
+    set only grows, and _start builds a word's first counts from its
+    slack row.  The count runs only when the placement spends a budget
+    or moves a row into a set; otherwise it would read the planes, mask
+    and budgets of the previous cell, less the column just placed.  The
+    column wipe-out is the count's budget-0 case: the rows with b_j = 0
+    hold only blocked cells, so a column whose free cells all lie in
+    their plane has none, and a budget sum of 0 prunes it.  _propagate
+    finds those columns in the pass that also finds the forced ones, and
+    again after each round of forcing, so the count keeps no plane for
+    them.
 
     Every attempted symbol placement counts as one node, pruned or not,
     a propagation or count prune included; one that completes word
@@ -279,9 +280,9 @@ def _backtrack(
     ANDs and ORs of an m*q-bit integer, plus a popcount per row that
     agrees with a cell it forces and whose slack is at most the decided
     columns (no other row can be at its slack).  The count is about
-    2q + 4 such operations on the 6*m*q-bit planes and two popcounts; a
-    row joining a set costs five.  On the feasible controls a node costs
-    about 1.45 times as much as without the count, and there are 28%
+    3q + 7 such operations on the 6*m*q-bit planes, two of them
+    popcounts; a row joining a set costs five.  On the feasible controls a node costs
+    about 1.5 times as much as without the count, and there are 28%
     fewer.
     """
     r = len(slack)

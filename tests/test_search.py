@@ -433,8 +433,9 @@ def test_shared_budget_decides_a_k5_control():
 @pytest.mark.parametrize(
     "q, k, rmax, mmax, total",
     [
-        # with the column wipe-out alone these totals are 43,684 and 24,087,
-        # and with no forward check 51,784 and 24,217
+        # without the pigeonhole count these totals are 40,558 and 24,087,
+        # with the column wipe-out alone 43,684 and 24,087, and with no
+        # forward check 51,784 and 24,217
         (3, 2, 6, 4, 40501),
         (4, 2, 5, 3, 24087),
     ],
