@@ -284,10 +284,10 @@ def _backtrack(
     popcounts; a row joining a set costs five.  It builds its column
     masks on each call, as a table of them per column would hold
     6*m*m*q bits, and a cell whose count did not move shares the
-    previous cell's tuple, like blocked, so wide tails stay O(m) per
-    distinct value.  On the feasible controls a node costs
-    about 1.5 times as much as without the count, and there are 28%
-    fewer.
+    previous cell's tuple, as blocked shares its mask, so a long tail
+    adds one reference per cell.  On the feasible controls a node costs
+    about 1.5 to 1.7 times as much as without the count, and there are
+    28% fewer.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
