@@ -17,9 +17,13 @@ class GuardLimitError(ValueError):
     """An instance exceeds a hard size guard."""
 
 
-def guard_terms(terms: int, what: str = "the bounds would list {} terms") -> None:
-    if terms > BOUND_TERMS_LIMIT:
-        raise GuardLimitError(f"{what.format(terms)}, over the guard {BOUND_TERMS_LIMIT}")
+def guard_terms(
+    terms: int, what: str = "the bounds would list {} terms", limit: int | None = None
+) -> None:
+    # the limit defaults to BOUND_TERMS_LIMIT as it is at the call, not at import
+    limit = BOUND_TERMS_LIMIT if limit is None else limit
+    if terms > limit:
+        raise GuardLimitError(f"{what.format(terms)}, over the guard {limit}")
 
 
 def griesmer_term(q: int, j: int, d: int) -> int:

@@ -161,14 +161,25 @@ def _backtrack(
     every other open column can still be made to disagree with that one
     word.
 
-    blocked[p] is word i's blocked-symbol mask in force at cell p, so
+    state[p] is word i's state in force at cell p, the tuple (mask,
+    budget1, budget2, planes).  mask is the blocked-symbol mask, so
     every budget prunes by one bit test.  A spent budget sets bits:
     rowmask[j] for the pair (i, j), and rowmask[a] & rowmask[b], where
-    word i would agree with both, for a pair of rows (see triple).  An
-    accepted placement writes rowmask[i], w plus its own bit, and
-    blocked[p + 1], blocked[p] plus the bits of the budgets it spends;
-    a re-accept overwrites them, so nothing is undone.  On entering word
-    i, _start builds word i's start mask and three-word table.
+    word i would agree with both, for a pair of rows (see triple).  The
+    rest is the pigeonhole count's (see below): its two sets' budget
+    sums, and six bit planes of m*q bits stacked in one integer, set 2
+    in the upper three.  Plane t of a set holds the cells that at least
+    t of its rows hold, so a column's minimum is at least t where all
+    its free cells lie in plane t, and the planes where they do add up
+    to min(minimum, 3).  A row joins a set when its budget falls to the
+    set's bound, in one saturating step on the planes; budgets only fall
+    along a word, so a set only grows.  An accepted placement writes
+    rowmask[i], w plus its own bit, and state[p + 1], state[p] plus the
+    bits of the budgets it spends and the rows it moves into a set; a
+    placement that moves neither writes state[p] itself, so a long tail
+    adds one reference per cell.  A re-accept overwrites them, so
+    nothing is undone.  On entering word i, _start builds word i's start
+    state and three-word table from its slack row.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.
@@ -250,24 +261,14 @@ def _backtrack(
     a prune removes only subtrees that hold no solution; every outcome
     and witness stays the same.  A row whose budget is spent stays in
     R, but every cell it holds is blocked, so it adds 0 to both sides.
-
-    counts[p] holds, at cell p, the two sets' budget sums and six bit
-    planes of m*q bits stacked in one integer, set 2 in the upper three:
-    plane t of a set holds the cells that at least t of its rows hold,
-    so a column's minimum is at least t where all its free cells lie in
-    plane t, and the planes where they do add up to min(minimum, 3).  A
-    row joins a set when its budget falls to the set's bound, in one
-    saturating step on the planes; budgets only fall along a word, so a
-    set only grows, and _start builds a word's first counts from its
-    slack row.  The count runs only when the placement spends a budget
-    or moves a row into a set; otherwise it would read the planes, mask
-    and budgets of the previous cell, less the column just placed.  The
-    column wipe-out is the count's budget-0 case: the rows with b_j = 0
-    hold only blocked cells, so a column whose free cells all lie in
-    their plane has none, and a budget sum of 0 prunes it.  _propagate
-    finds those columns in the pass that also finds the forced ones, and
-    again after each round of forcing, so the count keeps no plane for
-    them.
+    The count runs only when the placement spends a budget or moves a
+    row into a set; otherwise it would read the state of the previous
+    cell, less the column just placed.  The column wipe-out is the
+    count's budget-0 case: the rows with b_j = 0 hold only blocked
+    cells, so a column whose free cells all lie in their plane has none,
+    and a budget sum of 0 prunes it.  _propagate finds those columns in
+    the pass that also finds the forced ones, and again after each round
+    of forcing, so the count keeps no plane for them.
 
     Every attempted symbol placement counts as one node, pruned or not,
     a propagation or count prune included; one that completes word
@@ -281,13 +282,11 @@ def _backtrack(
     agrees with a cell it forces and whose slack is at most the decided
     columns (no other row can be at its slack).  The count is about
     3q + 7 such operations on the 6*m*q-bit planes, two of them
-    popcounts; a row joining a set costs five.  It builds its column
+    popcounts; a row joining a set costs five.  A checked placement
+    builds the open-column mask once for both checks, not every cell,
+    which would shift m*q bits per node, and the count builds its column
     masks on each call, as a table of them per column would hold
-    6*m*m*q bits, and a cell whose count did not move shares the
-    previous cell's tuple, as blocked shares its mask, so a long tail
-    adds one reference per cell.  On the feasible controls a node costs
-    about 1.5 to 1.7 times as much as without the count, and there are
-    28% fewer.
+    6*m*m*q bits.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
@@ -302,9 +301,8 @@ def _backtrack(
     low = sum(1 << c * q for c in range(m))
     rowmask = [low] + [0] * (r - 1)
     total = (r - 1) * m
-    blocked = [0] * total
-    # the pigeonhole count at each cell: its two budget sums and its planes
-    counts = [(0, 0, 0)] * total
+    # each cell's mask, the pigeonhole count's two budget sums, and its planes
+    state = [(0, 0, 0, 0)] * total
     width = m * q
     half = 3 * width
     first = (1 << half) - 1
@@ -330,10 +328,9 @@ def _backtrack(
             if (start := _start(slack_i, rowmask, m, q, triple)) is None:
                 p -= 1
                 continue
-            blocked[p], shared[i], counts[p] = start
-        mask = blocked[p]
-        count = counts[p]
-        budget1, budget2, planes = count
+            state[p], shared[i] = start
+        cell = state[p]
+        mask, budget1, budget2, planes = cell
         reach = c + 1
         hi = q - 1
         while hi > 1 and not col[hi - 1]:
@@ -372,14 +369,15 @@ def _backtrack(
                     for a in agree[:x]:
                         if (e := row[a]) <= reach and e - (both_w & rowmask[a]).bit_count() == 1:
                             after |= rowmask[a] & rowmask[b]
-            if after != mask and not _propagate(
-                after, w | 1 << c * q + s, low >> reach * q << reach * q, reach, q, slack_i, rowmask
-            ):
-                continue
             moved = after != mask or left1 != budget1 or left2 != budget2
             if moved:
+                opened = low >> reach * q << reach * q
+                if after != mask and not _propagate(
+                    after, w | 1 << c * q + s, opened, reach, q, slack_i, rowmask
+                ):
+                    continue
                 # the open columns of each plane in which every free cell lies in the plane
-                head = (low >> reach * q << reach * q) * rep
+                head = opened * rep
                 x = head * fill & ~(after * rep | plane)
                 some = x & head
                 for t in range(1, q):
@@ -392,8 +390,7 @@ def _backtrack(
             p += 1
             if p == total:
                 return tails, nodes, True
-            blocked[p] = after
-            counts[p] = (left1, left2, plane) if moved else count
+            state[p] = (after, left1, left2, plane) if moved else cell
             rowmask[i] = w = w | 1 << c * q + s
             break
         else:
@@ -441,9 +438,9 @@ def _propagate(
 
 def _start(
     slack_i: list[int], rowmask: list[int], m: int, q: int, triple: bool
-) -> tuple[int, list[list[int]], tuple[int, int, int]] | None:
-    """Word i's start mask, three-word table and pigeonhole count (see _backtrack)
-    from its slack row, or None if no tail is left."""
+) -> tuple[tuple[int, int, int, int], list[list[int]]] | None:
+    """Word i's start state and three-word table (see _backtrack) from its
+    slack row, or None if no tail is left."""
     mask = left1 = left2 = planes = 0
     table: list[list[int]] = []
     width = m * q
@@ -470,7 +467,7 @@ def _start(
                     mask |= both
                 row.append(e)
             table.append(row)
-    return mask, table, (left1, left2, planes)
+    return (mask, left1, left2, planes), table
 
 
 def _verify_witness(witness: Code, prefixes: Sequence[tuple[int, ...]], d: int) -> None:
@@ -500,10 +497,7 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     if node_limit is not None and node_limit < 1:
         raise ValueError(f"node limit must be at least 1, got {node_limit}")
     r = len(ws.prefixes)
-    if r > FULL_SEARCH_PREFIX_LIMIT:
-        raise GuardLimitError(
-            f"the search has {r} prefixes, over the guard {FULL_SEARCH_PREFIX_LIMIT}"
-        )
+    guard_terms(r, "the search has {} prefixes", FULL_SEARCH_PREFIX_LIMIT)
     guard_terms((r - 1) * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     slack, reason = _precheck(prefixes, ws.q, m, d)
@@ -570,5 +564,6 @@ def parse_witness_set(text: str) -> WitnessSet:
 
 
 def load_witness_set(path: str | os.PathLike[str]) -> WitnessSet:
-    with open(path, encoding="utf-8") as f:
+    # utf-8-sig drops the byte-order mark that some editors write first
+    with open(path, encoding="utf-8-sig") as f:
         return parse_witness_set(f.read())

@@ -12,6 +12,7 @@ from griesmer.bounds import (
     bound_table,
     griesmer_sum,
     griesmer_term,
+    guard_terms,
     singleton_bound,
     table_to_csv,
 )
@@ -149,6 +150,10 @@ def test_bound_terms_guard(monkeypatch):
     assert len(bound_table(2, 4, 1)) == 4  # 1 + 2 + 3 + 4 terms
     with pytest.raises(GuardLimitError):
         bound_table(2, 2, 4)  # (1 + 2) * 4 terms
+    # a guard with its own limit, as the search's prefix guard
+    guard_terms(12, "{} things", 12)
+    with pytest.raises(GuardLimitError, match="^13 things, over the guard 12$"):
+        guard_terms(13, "{} things", 12)
 
 
 def test_table_to_csv():

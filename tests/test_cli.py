@@ -80,6 +80,17 @@ def test_search_tail_feasible_text(tmp_path, capsys):
     assert "  01110" in out
 
 
+def test_search_tail_byte_order_mark(tmp_path, capsys):
+    argv = ["search-tail", "--q", "2", "--d", "3", "--tail-len", "3", "--format", "json", "--prefixes"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("2 2\n00\n01\n10\n", encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    result = _run(capsys, [*argv, str(marked)])
+    assert result == _run(capsys, [*argv, str(plain)])
+    assert result[0] == 0 and '"feasible":true' in result[1]
+
+
 def test_search_tail_q_mismatch(tmp_path, capsys):
     ws = tmp_path / "ws.txt"
     ws.write_text("3 2\n00\n01\n", encoding="utf-8")
@@ -133,11 +144,12 @@ def test_search_full_guard_violation(capsys):
         assert "exhaustive-prefix guard 4096" in err and len(err) < 200
 
 
-def _run_capped(cli_env, argv):
-    # the child gets 512 MB of address space and 60 s, so a missing guard
-    # fails here with a MemoryError or a timeout instead of filling the machine
+def _run_capped(cli_env, argv, megabytes=512):
+    # the child gets 512 MB of address space (or megabytes) and 60 s, so a
+    # missing guard fails here with a MemoryError or a timeout instead of
+    # filling the machine
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
     return subprocess.run(
         [sys.executable, "-m", "griesmer.cli", *argv],
@@ -181,6 +193,16 @@ def test_search_tail_prefix_guard(cli_env, tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "60000 prefixes, over the guard 4096" in proc.stderr and len(proc.stderr) < 200
+
+
+def test_search_full_long_tail_memory(cli_env):
+    # 95,994 DFS cells: a cell whose state does not move shares its
+    # predecessor's tuple and no table of masks is kept per column, so this
+    # fits in 192 MB; one 64,000-bit integer kept per cell needs about 800 MB
+    argv = ["search-full", "--q", "2", "--n", "32000", "--k", "2", "--d", "3", "--format", "json"]
+    proc = _run_capped(cli_env, argv, megabytes=192)
+    assert proc.returncode == 0, proc.stderr
+    assert '"feasible":true' in proc.stdout
 
 
 def test_verify_confirmed(capsys):

@@ -757,3 +757,6 @@ def test_load_witness_set(tmp_path):
     ws = load_witness_set(path)
     assert ws.q == 3
     assert len(ws.prefixes) == 4
+    # a byte-order mark, as some editors write one, is not part of 'q k'
+    path.write_text("\ufeff3 2\n00\n01\n02\n10\n", encoding="utf-8")
+    assert load_witness_set(path) == ws
