@@ -35,10 +35,6 @@ def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _print_bound(report: BoundReport, fmt: str) -> None:
     if fmt == "json":
         print(_json(report.to_dict()))
@@ -65,8 +61,8 @@ def _print_outcome(outcome: SearchOutcome, fmt: str) -> None:
     if fmt == "json":
         print(_json(outcome.to_dict()))
         return
-    print(f"feasible = {_bool_text(outcome.feasible)}")
-    print(f"exhausted = {_bool_text(outcome.exhausted)}")
+    print(f"feasible = {_json(outcome.feasible)}")
+    print(f"exhausted = {_json(outcome.exhausted)}")
     print(f"nodes_explored = {outcome.nodes_explored}")
     if outcome.witness is not None:
         print("witness:")
@@ -87,7 +83,7 @@ def _print_verdicts(verdicts: Sequence[Verdict], fmt: str, single: bool) -> None
         p = v.params
         print(
             f"{v.theorem_id:<8} {p.q:>3} {p.k:>3} {p.d:>3} {p.n + 1:>9} "
-            f"{p.n:>11} {_bool_text(v.confirmed):>10} {v.outcome.nodes_explored:>12}"
+            f"{p.n:>11} {_json(v.confirmed):>10} {v.outcome.nodes_explored:>12}"
         )
 
 

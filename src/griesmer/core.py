@@ -8,7 +8,7 @@ threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Record:
@@ -155,9 +155,6 @@ class Code(Record):
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, item: object) -> bool:
-        return item in self.words
-
 
 def distance(a: Word, b: Word) -> int:
     """Hamming distance: the number of positions where a and b differ."""
@@ -168,13 +165,22 @@ def distance(a: Word, b: Word) -> int:
     return sum(1 for x, y in zip(a.symbols, b.symbols) if x != y)
 
 
-def one_hot(symbols: Iterable[int], q: int) -> int:
-    """The symbols as bits: bit c * q + s is set where position c holds s.
+def one_hot(rows: Sequence[Sequence[int]], q: int) -> list[int]:
+    """Equal-length rows as bits: bit c * w + t is set where position c holds
+    the t-th distinct symbol down that position, with w = min(q, len(rows)).
 
-    Two such words of length n agree exactly where they share a bit, so
-    their Hamming distance is n - popcount(a & b).
+    Two such rows of length n agree exactly where they share a bit, so
+    their Hamming distance is n - popcount(a & b).  Numbering only the
+    symbols in use keeps the width at most the number of rows, however
+    large q is.
     """
-    return sum(1 << c * q + s for c, s in enumerate(symbols))
+    width = min(q, len(rows))
+    bits = [0] * len(rows)
+    for c, column in enumerate(zip(*rows)):
+        number = {s: c * width + t for t, s in enumerate(dict.fromkeys(column))}
+        for j, s in enumerate(column):
+            bits[j] |= 1 << number[s]
+    return bits
 
 
 def min_distance(code: Code) -> int:
@@ -182,7 +188,7 @@ def min_distance(code: Code) -> int:
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two words")
     n = code.length
-    bits = [one_hot(w.symbols, code.q) for w in code]
+    bits = one_hot([w.symbols for w in code], code.q)
     # the most positions in which two distinct words agree; at most n - 1
     most = 0
     for i, a in enumerate(bits[:-1]):

@@ -113,7 +113,7 @@ def _precheck(
     slack: list[list[int]] = []
     # slack = k - (prefix agreements) + m - d
     top = len(prefixes[0]) + m - d
-    bits = [one_hot(p, q) for p in prefixes]
+    bits = one_hot(prefixes, q)
     for i, p in enumerate(bits):
         row = [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))]
         slack.append(row)
@@ -149,6 +149,14 @@ def _backtrack(
     filled left to right with symbols tried in increasing order.  Rows
     1..r-1 of tails hold -1 in every column not yet assigned.
 
+    q is the alphabet the search runs over.  tail_search passes
+    min(q, r + 1), which gives the same nodes and tails as q itself:
+    in any column the rows above word i, at most r - 1, hold at most
+    r - 1 symbols, so with r + 1 or more, two stay that no row holds.
+    Such a symbol is never blocked, so no column is wiped out or forced,
+    and it adds 0 to the pigeonhole count's column minimum, however many
+    there are; and precedence (below) tries no symbol above r - 1.
+
     Cells are bits: bit c * q + s stands for symbol s in tail column c,
     and rowmask[j] is row j's tail as bits (the zero word's is low,
     symbol 0 in every column).  At cell p = (i - 1) * m + c, w is word
@@ -162,8 +170,8 @@ def _backtrack(
     word.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
-    budget1, budget2, planes).  mask is the blocked-symbol mask, so
-    every budget prunes by one bit test.  A spent budget sets bits:
+    budget1, budget2, planes, table).  mask is the blocked-symbol mask,
+    so every budget prunes by one bit test.  A spent budget sets bits:
     rowmask[j] for the pair (i, j), and rowmask[a] & rowmask[b], where
     word i would agree with both, for a pair of rows (see triple).  The
     rest is the pigeonhole count's (see below): its two sets' budget
@@ -173,13 +181,14 @@ def _backtrack(
     its free cells lie in plane t, and the planes where they do add up
     to min(minimum, 3).  A row joins a set when its budget falls to the
     set's bound, in one saturating step on the planes; budgets only fall
-    along a word, so a set only grows.  An accepted placement writes
-    rowmask[i], w plus its own bit, and state[p + 1], state[p] plus the
-    bits of the budgets it spends and the rows it moves into a set; a
-    placement that moves neither writes state[p] itself, so a long tail
-    adds one reference per cell.  A re-accept overwrites them, so
-    nothing is undone.  On entering word i, _start builds word i's start
-    state and three-word table from its slack row.
+    along a word, so a set only grows.  table holds the three-word
+    budgets' start values (see triple), fixed for the word.  An accepted
+    placement writes rowmask[i], w plus its own bit, and state[p + 1],
+    state[p] plus the bits of the budgets it spends and the rows it
+    moves into a set; a placement that moves neither writes state[p]
+    itself, so a long tail adds one reference per cell.  A re-accept
+    overwrites them, so nothing is undone.  On entering word i, _start
+    builds word i's start state from its slack row.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.
@@ -218,7 +227,7 @@ def _backtrack(
     and with b, and E those in which it agrees with both; as
     A_a <= slack[i][a] and A_b <= slack[i][b], E is at most
     (slack[i][a] + slack[i][b] - D(a, b)) // 2, the start budget in
-    shared[i][b][a], of which word i has used popcount(w & rowmask[a] &
+    table[b][a], of which word i has used popcount(w & rowmask[a] &
     rowmask[b]).  A negative start leaves word i no tail, so the search
     backs out of word i - 1's last placement.  The bound is not exact,
     but every solution meets it, so it removes only subtrees that hold
@@ -297,12 +306,11 @@ def _backtrack(
 
     triple = q == 2 and r <= 2 * m
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
-    shared: list[list[list[int]]] = [[] for _ in range(r)]
     low = sum(1 << c * q for c in range(m))
     rowmask = [low] + [0] * (r - 1)
     total = (r - 1) * m
-    # each cell's mask, the pigeonhole count's two budget sums, and its planes
-    state = [(0, 0, 0, 0)] * total
+    # each cell's (mask, budget1, budget2, planes, table), written before it is read
+    state: list[tuple[int, int, int, int, list[list[int]]] | None] = [None] * total
     width = m * q
     half = 3 * width
     first = (1 << half) - 1
@@ -328,9 +336,9 @@ def _backtrack(
             if (start := _start(slack_i, rowmask, m, q, triple)) is None:
                 p -= 1
                 continue
-            state[p], shared[i] = start
+            state[p] = start
         cell = state[p]
-        mask, budget1, budget2, planes = cell
+        mask, budget1, budget2, planes, table = cell
         reach = c + 1
         hi = q - 1
         while hi > 1 and not col[hi - 1]:
@@ -362,10 +370,9 @@ def _backtrack(
                         row <<= half
                     plane |= (plane & row * spread) << width | row
             if triple:
-                shared_i = shared[i]
                 for x, b in enumerate(agree):
                     both_w = w & rowmask[b]
-                    row = shared_i[b]
+                    row = table[b]
                     for a in agree[:x]:
                         if (e := row[a]) <= reach and e - (both_w & rowmask[a]).bit_count() == 1:
                             after |= rowmask[a] & rowmask[b]
@@ -390,7 +397,7 @@ def _backtrack(
             p += 1
             if p == total:
                 return tails, nodes, True
-            state[p] = (after, left1, left2, plane) if moved else cell
+            state[p] = (after, left1, left2, plane, table) if moved else cell
             rowmask[i] = w = w | 1 << c * q + s
             break
         else:
@@ -438,9 +445,8 @@ def _propagate(
 
 def _start(
     slack_i: list[int], rowmask: list[int], m: int, q: int, triple: bool
-) -> tuple[tuple[int, int, int, int], list[list[int]]] | None:
-    """Word i's start state and three-word table (see _backtrack) from its
-    slack row, or None if no tail is left."""
+) -> tuple[int, int, int, int, list[list[int]]] | None:
+    """Word i's start state (see _backtrack) from its slack row, or None if no tail is left."""
     mask = left1 = left2 = planes = 0
     table: list[list[int]] = []
     width = m * q
@@ -467,18 +473,7 @@ def _start(
                     mask |= both
                 row.append(e)
             table.append(row)
-    return (mask, left1, left2, planes), table
-
-
-def _verify_witness(witness: Code, prefixes: Sequence[tuple[int, ...]], d: int) -> None:
-    """Independent re-check of a feasible outcome via the core operations."""
-    k = len(prefixes[0])
-    if {w.symbols[:k] for w in witness} != set(prefixes):
-        raise RuntimeError("search produced a witness with wrong prefixes")
-    if len(witness) != len(prefixes):
-        raise RuntimeError("search produced a witness of the wrong size")
-    if len(witness) >= 2 and min_distance(witness) < d:
-        raise RuntimeError("search produced a witness violating the distance floor")
+    return mask, left1, left2, planes, table
 
 
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
@@ -488,7 +483,9 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     node_limit caps the DFS's attempted symbol placements; the pre-check
     explores no nodes, so no limit can cut it short.  The pre-check's
     table grows as the square of the prefixes and the DFS's masks with
-    the tail symbols, so both counts are guarded first.
+    the tail symbols, so both counts are guarded first.  No width grows
+    with q: the one-hot words number only the symbols in use, and the
+    DFS runs over at most r + 1 symbols (see _backtrack).
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -503,22 +500,16 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     slack, reason = _precheck(prefixes, ws.q, m, d)
     if reason is not None:
         return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
+    tails, nodes, exhausted = _backtrack(slack, min(ws.q, r + 1), m, node_limit)
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))
-        _verify_witness(witness, prefixes, d)
+        # an independent re-check of the witness by the core operations
+        if {w.symbols[: ws.k] for w in witness} != set(prefixes):
+            raise RuntimeError("search produced a witness with wrong prefixes")
+        if r >= 2 and min_distance(witness) < d:
+            raise RuntimeError("search produced a witness violating the distance floor")
     return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)
-
-
-def _power_exceeds(q: int, e: int, limit: int) -> bool:
-    """Whether q**e > limit, multiplying only until the power passes the limit."""
-    power = 1
-    for _ in range(e):
-        power *= q
-        if power > limit:
-            return True
-    return False
 
 
 def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutcome:
@@ -528,7 +519,8 @@ def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutc
     a re-check that a found code is systematic.
     """
     q, k = params.q, params.k
-    if _power_exceeds(q, k, FULL_SEARCH_PREFIX_LIMIT):
+    # exact with no large power: q >= 2, so q**bit_length already passes the limit
+    if q ** min(k, FULL_SEARCH_PREFIX_LIMIT.bit_length()) > FULL_SEARCH_PREFIX_LIMIT:
         raise GuardLimitError(
             f"q**k exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
             "use a witness-set tail search instead"

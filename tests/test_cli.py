@@ -183,6 +183,46 @@ def test_bound_guard_violation(cli_env, argv):
     assert "over the guard 1000000" in proc.stderr and len(proc.stderr) < 200
 
 
+def test_search_full_prefix_guard_builds_no_power(cli_env):
+    # q**k here would have about 3 * 10**11 digits; the guard must not build it
+    argv = ["search-full", "--q", "2", "--n", str(10**12 + 1), "--k", str(10**12), "--d", "2"]
+    proc = _run_capped(cli_env, argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "exhaustive-prefix guard 4096" in proc.stderr and len(proc.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "q_ge_d", "--q", str(10**9), "--d", "3", "--k", "5"],
+        ["verify", "--theorem", "d12", "--q", str(10**8), "--d", "2", "--k", "40"],
+    ],
+)
+def test_verify_large_alphabet(cli_env, argv):
+    # one-hot prefixes as wide as q would take gigabytes here
+    proc = _run_capped(cli_env, [*argv, "--format", "json"], megabytes=256)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["confirmed"] is True
+
+
+@pytest.mark.parametrize("q", [10**6, 10**9])
+def test_search_tail_large_alphabet(cli_env, tmp_path, q):
+    # the DFS runs over r + 1 = 3 symbols, not q, so masks and per-node work
+    # stay small
+    path = tmp_path / "pair.txt"
+    path.write_text(f"{q} 1\n0\n1\n", encoding="utf-8")
+    argv = ["search-tail", "--q", str(q), "--d", "2", "--tail-len", "10", "--prefixes", str(path)]
+    proc = _run_capped(cli_env, [*argv, "--format", "json"], megabytes=256)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "feasible": True,
+        "exhausted": True,
+        "nodes_explored": 20,
+        "witness": [" ".join("0" * 11), " ".join("11" + "0" * 9)],
+    }
+
+
 def test_search_tail_prefix_guard(cli_env, tmp_path):
     # the pre-check's pair table grows as the square of the prefixes; 4,096
     # take most of a minute, so 60,000 would take hours

@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from griesmer.core import Code, CodeParams, Word, is_systematic, min_distance
+from griesmer.core import Code, CodeParams, Word, is_systematic, min_distance, one_hot
 from griesmer.search import (
     FULL_SEARCH_PREFIX_LIMIT,
     GuardLimitError,
@@ -555,14 +555,17 @@ def test_precheck_pair_refutation_stops_at_the_first_row():
 
 def test_one_hot_distances_match_the_zip_definition():
     # min_distance and the pre-check's slack table read distances as
-    # popcounts of one-hot words; both must count the differing positions
+    # popcounts of one-hot words; both must count the differing positions,
+    # in words as wide as the symbols in use, however large q is
     rng = random.Random(29)
     for _ in range(300):
-        q = rng.randint(2, 5)
+        q = rng.choice((2, 3, 4, 5, 1000, 10**9))
         k = rng.randint(1, 5)
-        words = sorted({tuple(rng.randrange(q) for _ in range(k)) for _ in range(rng.randint(2, 12))})
+        alphabet = rng.sample(range(q), min(q, 5))
+        words = sorted({tuple(rng.choice(alphabet) for _ in range(k)) for _ in range(rng.randint(2, 12))})
         if len(words) < 2:
             continue
+        assert max(one_hot(words, q)).bit_length() <= k * min(q, len(words)), (words, q)
         dist = {(a, b): sum(x != y for x, y in zip(a, b)) for a in words for b in words}
         code = Code(Word(w, q) for w in words)
         assert min_distance(code) == min(dist[a, b] for a, b in combinations(words, 2))
@@ -571,6 +574,33 @@ def test_one_hot_distances_match_the_zip_definition():
         # the table may stop at its first row with a negative slack
         want = [[m - d + dist[a, b] for b in words[:i]] for i, a in enumerate(words)]
         assert slack == want[: len(slack)], (words, m, d)
+
+
+def test_outcome_does_not_depend_on_q_past_r_plus_1():
+    # tail_search runs the DFS over min(q, r + 1) symbols; over the whole
+    # alphabet the DFS must give the same nodes and tails at every
+    # q >= r + 1, and tail_search the same outcome.  With q >= r a word can
+    # differ from every other in every column, so each search the pre-check
+    # leaves open is feasible, and the nodes and witness are what can differ
+    rng = random.Random(41)
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        pool = list(product(range(3), repeat=k))
+        others = rng.sample(pool[1:], rng.randint(1, min(4, len(pool) - 1)))
+        prefixes = [pool[0]] + others
+        r = len(prefixes)
+        m = rng.randint(1, 5)
+        d = rng.randint(1, m + k)
+        slack, reason = _precheck(prefixes, r + 1, m, d)
+        want = _backtrack(slack, r + 1, m, None)
+        tails, nodes, _ = want
+        words = [] if tails is None else sorted(p + tuple(t) for p, t in zip(prefixes, tails))
+        for q in range(r + 1, 13):
+            assert _backtrack(slack, q, m, None) == want, (prefixes, m, d, q)
+            out = tail_search(WitnessSet(q, k, (Word(p, q) for p in prefixes)), m, d)
+            if reason is None:
+                assert out.nodes_explored == nodes, (prefixes, m, d, q)
+                assert [w.symbols for w in out.witness or ()] == words, (prefixes, m, d, q)
 
 
 def test_monotone_in_m():
@@ -707,6 +737,16 @@ def test_full_search_guard():
     with pytest.raises(GuardLimitError):
         full_search(CodeParams(q=2, n=14, k=13, d=2))
     assert 2**13 > FULL_SEARCH_PREFIX_LIMIT
+
+
+def test_full_search_guard_boundary(monkeypatch):
+    # q**k equal to the limit passes; one step past it fails, in k or in q
+    monkeypatch.setattr("griesmer.search.FULL_SEARCH_PREFIX_LIMIT", 8)
+    for q, k in ((2, 3), (8, 1)):
+        assert full_search(CodeParams(q=q, n=k + 1, k=k, d=2)).exhausted
+    for q, k in ((2, 4), (3, 2), (9, 1)):
+        with pytest.raises(GuardLimitError, match="guard 8;"):
+            full_search(CodeParams(q=q, n=k + 1, k=k, d=2))
 
 
 def test_full_search_witnesses_match_oracle_feasibility():
