@@ -104,7 +104,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = subs.add_parser("search-tail", help="search tail assignments for a witness set")
-    p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tail-len", type=int, required=True)
     p.add_argument("--prefixes", required=True, metavar="FILE")
@@ -143,12 +142,7 @@ def _run(args: argparse.Namespace) -> int:
         _print_table(bound_table(args.q, args.kmax, args.dmax), args.format)
         return 0
     if args.subcommand == "search-tail":
-        ws = load_witness_set(args.prefixes)
-        if ws.q != args.q:
-            raise ValueError(
-                f"--q {args.q} disagrees with the witness file alphabet {ws.q}"
-            )
-        outcome = tail_search(ws, args.tail_len, args.d, args.node_limit)
+        outcome = tail_search(load_witness_set(args.prefixes), args.tail_len, args.d, args.node_limit)
         _print_outcome(outcome, args.format)
         return 0 if outcome.exhausted else 2
     if args.subcommand == "search-full":

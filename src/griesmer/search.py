@@ -29,28 +29,30 @@ FULL_SEARCH_PREFIX_LIMIT = 4096
 
 
 class WitnessSet(Record):
-    """Distinct length-k prefixes for a partial-code search; prefixes[0] must be zero."""
+    """Distinct equal-length prefixes for a partial-code search; prefixes[0] must be zero."""
 
-    __slots__ = ("q", "k", "prefixes")
-    q: int
-    k: int
+    __slots__ = ("prefixes",)
     prefixes: tuple[Word, ...]
 
-    def __init__(self, q: int, k: int, prefixes: Iterable[Word]) -> None:
+    def __init__(self, prefixes: Iterable[Word]) -> None:
         prefixes = tuple(prefixes)
         # the prefixes must be distinct words of one alphabet and one length, as in a code
-        code = Code(prefixes)
-        if (code.q, code.length) != (q, k):
-            raise ValueError(
-                f"prefixes are over q={code.q}, k={code.length}, expected q={q}, k={k}"
-            )
+        Code(prefixes)
         if any(prefixes[0].symbols):
             raise ValueError(f"the first prefix must be the zero word, got {prefixes[0]}")
-        self._set(q, k, prefixes)
+        self._set(prefixes)
 
     @classmethod
-    def from_strings(cls, q: int, k: int, texts: Iterable[str]) -> WitnessSet:
-        return cls(q=q, k=k, prefixes=tuple(Word.parse(t, q) for t in texts))
+    def from_strings(cls, q: int, texts: Iterable[str]) -> WitnessSet:
+        return cls(Word.parse(t, q) for t in texts)
+
+    @property
+    def q(self) -> int:
+        return self.prefixes[0].q
+
+    @property
+    def k(self) -> int:
+        return self.prefixes[0].length
 
 
 class SearchOutcome(NamedTuple):
@@ -525,7 +527,7 @@ def full_search(params: CodeParams, node_limit: int | None = None) -> SearchOutc
             f"q**k exceeds the exhaustive-prefix guard {FULL_SEARCH_PREFIX_LIMIT}; "
             "use a witness-set tail search instead"
         )
-    ws = WitnessSet(q=q, k=k, prefixes=tuple(Word(p, q) for p in product(range(q), repeat=k)))
+    ws = WitnessSet(Word(p, q) for p in product(range(q), repeat=k))
     outcome = tail_search(ws, params.n - k, params.d, node_limit)
     if outcome.witness is not None and not is_systematic(outcome.witness, k):
         raise RuntimeError("search produced a non-systematic witness")
@@ -536,8 +538,8 @@ def parse_witness_set(text: str) -> WitnessSet:
     """Parse the plain-text witness format.
 
     Lines starting with '#' are comments and blank lines are ignored; the
-    first content line is 'q k'; each further line is one prefix in the
-    word text form.
+    first content line is 'q k', where k must be the prefix length; each
+    further line is one prefix in the word text form.
     """
     content = [ln.strip() for ln in text.splitlines()]
     content = [ln for ln in content if ln and not ln.startswith("#")]
@@ -552,7 +554,10 @@ def parse_witness_set(text: str) -> WitnessSet:
         raise ValueError(f"first content line must be 'q k', got {content[0]!r}") from None
     if len(content) < 2:
         raise ValueError("witness file lists no prefixes")
-    return WitnessSet.from_strings(q, k, content[1:])
+    ws = WitnessSet.from_strings(q, content[1:])
+    if ws.k != k:
+        raise ValueError(f"the first content line gives k={k}, but the prefixes have length {ws.k}")
+    return ws
 
 
 def load_witness_set(path: str | os.PathLike[str]) -> WitnessSet:

@@ -113,7 +113,7 @@ def witness_set_for(theorem_id: str, q: int, d: int, k: int) -> WitnessSet:
         raise ValueError(f"{theorem_id} covers {family.scope}, got q={q}, d={d}, k={k}")
     patterns = _patterns(family, q)
     guard_terms(len(patterns) * k, "the witness prefixes would hold {} symbols")
-    return WitnessSet(q=q, k=k, prefixes=(Word((0,) * (k - len(p)) + p, q) for p in patterns))
+    return WitnessSet(Word((0,) * (k - len(p)) + p, q) for p in patterns)
 
 
 def _patterns(family: _Family, q: int) -> list[tuple[int, ...]]:

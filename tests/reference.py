@@ -13,6 +13,8 @@ of those moves the engine alone.  `naive_oracle` prunes nothing at all.
 
 from itertools import product
 
+from griesmer.bounds import GuardLimitError
+
 ORACLE_ASSIGNMENT_LIMIT = 2**24
 
 
@@ -86,10 +88,6 @@ def naive_oracle(ws, m, d):
     for _ in range(m * (r - 1)):
         power *= ws.q
         if power > ORACLE_ASSIGNMENT_LIMIT:
-            # the package's __init__ imports the engine, so the error type is
-            # imported only here: loading the reference loads no engine module
-            from griesmer.bounds import GuardLimitError
-
             raise GuardLimitError(
                 f"oracle would enumerate {ws.q}**{m * (r - 1)} assignments, "
                 f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"

@@ -50,7 +50,7 @@ def test_criterion_1_bound_closed_forms(capsys):
 
 def test_criterion_2_four_word_refutation_q3(capsys):
     def run():
-        ws = WitnessSet.from_strings(3, 2, ["00", "01", "02", "10"])
+        ws = WitnessSet.from_strings(3, ["00", "01", "02", "10"])
         out = tail_search(ws, 3, 4)
         assert not out.feasible
         assert out.exhausted
@@ -66,7 +66,7 @@ def test_criterion_3_five_word_refutations(capsys):
         )
         for d in (5, 6):
             for prefixes in families:
-                ws = WitnessSet.from_strings(2, 3, prefixes)
+                ws = WitnessSet.from_strings(2, prefixes)
                 start = time.perf_counter()
                 out = tail_search(ws, d + 1, d)
                 single = time.perf_counter() - start
@@ -80,7 +80,7 @@ def test_criterion_3_five_word_refutations(capsys):
 def test_criterion_4_three_word_refutation_k2(capsys):
     def run():
         for d in (5, 6):
-            ws = WitnessSet.from_strings(2, 2, ["00", "01", "10"])
+            ws = WitnessSet.from_strings(2, ["00", "01", "10"])
             out = tail_search(ws, d, d)
             assert not out.feasible
             assert out.exhausted
@@ -123,7 +123,7 @@ def test_criterion_7_oracle_equivalence(capsys):
                 ]
                 for size in range(0, 3):
                     for extra in combinations(singles, size):
-                        ws = WitnessSet(q=q, k=k, prefixes=(zero,) + extra)
+                        ws = WitnessSet((zero,) + extra)
                         for m in range(0, 4):
                             for d in range(1, 5):
                                 got = tail_search(ws, m, d).feasible

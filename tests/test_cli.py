@@ -58,7 +58,7 @@ def test_search_tail_infeasible(tmp_path, capsys):
     ws.write_text("# three prefixes\n2 2\n00\n01\n10\n", encoding="utf-8")
     code, out, _ = _run(
         capsys,
-        ["search-tail", "--q", "2", "--d", "3", "--tail-len", "2", "--prefixes", str(ws), "--format", "json"],
+        ["search-tail", "--d", "3", "--tail-len", "2", "--prefixes", str(ws), "--format", "json"],
     )
     assert code == 0
     payload = json.loads(out)
@@ -72,7 +72,7 @@ def test_search_tail_feasible_text(tmp_path, capsys):
     ws.write_text("2 2\n00\n01\n10\n", encoding="utf-8")
     code, out, _ = _run(
         capsys,
-        ["search-tail", "--q", "2", "--d", "3", "--tail-len", "3", "--prefixes", str(ws)],
+        ["search-tail", "--d", "3", "--tail-len", "3", "--prefixes", str(ws)],
     )
     assert code == 0
     assert "feasible = true" in out
@@ -81,7 +81,7 @@ def test_search_tail_feasible_text(tmp_path, capsys):
 
 
 def test_search_tail_byte_order_mark(tmp_path, capsys):
-    argv = ["search-tail", "--q", "2", "--d", "3", "--tail-len", "3", "--format", "json", "--prefixes"]
+    argv = ["search-tail", "--d", "3", "--tail-len", "3", "--format", "json", "--prefixes"]
     plain = tmp_path / "plain.txt"
     plain.write_text("2 2\n00\n01\n10\n", encoding="utf-8")
     marked = tmp_path / "marked.txt"
@@ -92,22 +92,31 @@ def test_search_tail_byte_order_mark(tmp_path, capsys):
 
 
 def test_search_tail_q_mismatch(tmp_path, capsys):
+    # the witness file's header gives q; the option that repeated it is gone
     ws = tmp_path / "ws.txt"
-    ws.write_text("3 2\n00\n01\n", encoding="utf-8")
+    ws.write_text("2 2\n00\n01\n", encoding="utf-8")
     code, out, err = _run(
         capsys,
         ["search-tail", "--q", "2", "--d", "2", "--tail-len", "1", "--prefixes", str(ws)],
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
-    assert "nodes_explored" not in err
+    assert err.startswith("error: unrecognized arguments") and err.count("\n") == 1
+
+
+def test_search_tail_header_k_mismatch(tmp_path, capsys):
+    ws = tmp_path / "ws.txt"
+    ws.write_text("2 3\n00\n01\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["search-tail", "--d", "2", "--tail-len", "1", "--prefixes", str(ws)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: the first content line gives k=3, but the prefixes have length 2\n"
 
 
 def test_search_tail_missing_file(capsys):
     code, _, err = _run(
         capsys,
-        ["search-tail", "--q", "2", "--d", "2", "--tail-len", "1", "--prefixes", "/nonexistent/ws.txt"],
+        ["search-tail", "--d", "2", "--tail-len", "1", "--prefixes", "/nonexistent/ws.txt"],
     )
     assert code == 1
     assert err.startswith("error:")
@@ -212,7 +221,7 @@ def test_search_tail_large_alphabet(cli_env, tmp_path, q):
     # stay small
     path = tmp_path / "pair.txt"
     path.write_text(f"{q} 1\n0\n1\n", encoding="utf-8")
-    argv = ["search-tail", "--q", str(q), "--d", "2", "--tail-len", "10", "--prefixes", str(path)]
+    argv = ["search-tail", "--d", "2", "--tail-len", "10", "--prefixes", str(path)]
     proc = _run_capped(cli_env, [*argv, "--format", "json"], megabytes=256)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
@@ -228,7 +237,7 @@ def test_search_tail_prefix_guard(cli_env, tmp_path):
     # take most of a minute, so 60,000 would take hours
     path = tmp_path / "wide.txt"
     path.write_text("2 16\n" + "".join(f"{x:016b}\n" for x in range(60_000)), encoding="utf-8")
-    argv = ["search-tail", "--q", "2", "--d", "3", "--tail-len", "10", "--prefixes", str(path)]
+    argv = ["search-tail", "--d", "3", "--tail-len", "10", "--prefixes", str(path)]
     proc = _run_capped(cli_env, argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

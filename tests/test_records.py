@@ -7,7 +7,7 @@ import pytest
 
 from griesmer.bounds import BoundReport, bound_report
 from griesmer.core import Code, CodeParams, Word
-from griesmer.search import SearchOutcome, WitnessSet, full_search, tail_search
+from griesmer.search import SearchOutcome, WitnessSet, full_search, parse_witness_set, tail_search
 from griesmer.theorems import Verdict, verify
 
 
@@ -20,7 +20,7 @@ _MAKERS = {
     "Word": lambda: Word([0, 1, 1], 2),
     "CodeParams": lambda: CodeParams(q=2, n=5, k=2, d=3),
     "Code": lambda: _code(["011", "000", "101"]),
-    "WitnessSet": lambda: WitnessSet.from_strings(2, 2, ["00", "01", "10"]),
+    "WitnessSet": lambda: WitnessSet.from_strings(2, ["00", "01", "10"]),
     "SearchOutcome": lambda: SearchOutcome(_code(["000", "011"]), 12, True),
     "BoundReport": lambda: bound_report(2, 3, 5),
     "Verdict": lambda: verify("d56_k3", 2, 5, 3),
@@ -29,7 +29,7 @@ _OTHERS = {
     "Word": Word([0, 1, 0], 2),
     "CodeParams": CodeParams(q=2, n=5, k=2, d=2),
     "Code": _code(["011", "000"]),
-    "WitnessSet": WitnessSet.from_strings(2, 2, ["00", "01"]),
+    "WitnessSet": WitnessSet.from_strings(2, ["00", "01"]),
     "SearchOutcome": SearchOutcome(_code(["000", "011"]), 12, False),
     "BoundReport": bound_report(2, 3, 6),
     "Verdict": verify("d56_k3", 2, 6, 3),
@@ -38,7 +38,7 @@ _FIELDS = {
     "Word": ("symbols", "q"),
     "CodeParams": ("q", "n", "k", "d"),
     "Code": ("words",),
-    "WitnessSet": ("q", "k", "prefixes"),
+    "WitnessSet": ("prefixes",),
     "SearchOutcome": ("witness", "nodes_explored", "exhausted"),
     "BoundReport": ("q", "k", "d", "griesmer", "singleton", "terms"),
     "Verdict": ("theorem_id", "params", "outcome"),
@@ -84,8 +84,8 @@ def test_reprs_name_every_field():
     assert repr(_code(["11", "01"])) == (
         "Code(words=(Word(symbols=(0, 1), q=2), Word(symbols=(1, 1), q=2)))"
     )
-    assert repr(WitnessSet.from_strings(2, 2, ["00", "01"])) == (
-        "WitnessSet(q=2, k=2, prefixes=(Word(symbols=(0, 0), q=2), Word(symbols=(0, 1), q=2)))"
+    assert repr(WitnessSet.from_strings(2, ["00", "01"])) == (
+        "WitnessSet(prefixes=(Word(symbols=(0, 0), q=2), Word(symbols=(0, 1), q=2)))"
     )
     assert repr(bound_report(2, 3, 5)) == (
         "BoundReport(q=2, k=3, d=5, griesmer=10, singleton=7, terms=(5, 3, 2))"
@@ -104,7 +104,7 @@ def test_words_are_set_members():
 
 
 def test_tuple_records_unpack_and_convert():
-    witness, nodes, exhausted = tail_search(WitnessSet.from_strings(2, 2, ["00", "01"]), 1, 3)
+    witness, nodes, exhausted = tail_search(WitnessSet.from_strings(2, ["00", "01"]), 1, 3)
     assert (witness, nodes, exhausted) == (None, 0, True)
     assert bound_report(2, 3, 5)._asdict()["terms"] == (5, 3, 2)
     assert verify("d56_k3", 2, 5, 3)[0] == "d56_k3"
@@ -112,7 +112,7 @@ def test_tuple_records_unpack_and_convert():
     assert isinstance(verify("d56_k3", 2, 5, 3), Verdict)
 
 
-_WS3 = WitnessSet.from_strings(2, 2, ["00", "01", "10"])
+_WS3 = WitnessSet.from_strings(2, ["00", "01", "10"])
 
 
 @pytest.mark.parametrize(
@@ -167,6 +167,7 @@ def _w(symbols, q=2):
         (lambda: Word([], 3), "a word needs at least one symbol"),
         (lambda: Word((0, 2), 2), "symbol 2 outside [0, 2)"),
         (lambda: Word((-1,), 2), "symbol -1 outside [0, 2)"),
+        (lambda: Word.parse(" \t", 11), "empty word text"),
         (lambda: CodeParams(1, 5, 2, 3), "alphabet size must be at least 2, got 1"),
         (lambda: CodeParams(2, 0, 2, 3), "length must be at least 1, got 0"),
         (lambda: CodeParams(2, 5, 0, 3), "message length 0 outside [1, n=5]"),
@@ -180,20 +181,20 @@ def _w(symbols, q=2):
         ),
         (lambda: Code([_w((0, 1)), _w((0, 1, 1))]), "words of one code must share the length: 3 != 2"),
         (lambda: Code([_w((1, 0)), _w((0, 1)), _w((1, 0))]), "duplicate word 10"),
-        (lambda: WitnessSet(2, 2, []), "a code needs at least one word"),
-        (lambda: WitnessSet(2, 3, [_w((0, 0))]), "prefixes are over q=2, k=2, expected q=2, k=3"),
-        (lambda: WitnessSet(3, 2, [_w((0, 0))]), "prefixes are over q=2, k=2, expected q=3, k=2"),
+        (lambda: WitnessSet([]), "a code needs at least one word"),
+        (lambda: WitnessSet([_w((0, 1)), _w((0, 0))]), "the first prefix must be the zero word, got 01"),
+        (lambda: WitnessSet([_w((0, 0)), _w((0, 0))]), "duplicate word 00"),
         (
-            lambda: WitnessSet(2, 2, [_w((0, 1)), _w((0, 0))]),
-            "the first prefix must be the zero word, got 01",
+            lambda: parse_witness_set("2 3\n00\n01\n"),
+            "the first content line gives k=3, but the prefixes have length 2",
         ),
-        (lambda: WitnessSet(2, 2, [_w((0, 0)), _w((0, 0))]), "duplicate word 00"),
     ],
     ids=[
         "word-q", "word-empty", "word-empty-list", "word-symbol-high", "word-symbol-negative",
+        "word-parse-blank",
         "params-q", "params-n", "params-k-low", "params-k-high", "params-d-low", "params-d-high",
         "code-empty", "code-alphabets", "code-lengths", "code-duplicate",
-        "ws-empty", "ws-k", "ws-q", "ws-first-nonzero", "ws-duplicate",
+        "ws-empty", "ws-first-nonzero", "ws-duplicate", "ws-header-k",
     ],
 )
 def test_validation_messages_are_pinned(make, message):

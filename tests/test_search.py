@@ -26,12 +26,12 @@ from reference import naive_oracle, unreduced_dfs
 _PIN_MARGIN = 1000
 
 
-def _ws(q, k, texts):
-    return WitnessSet.from_strings(q, k, texts)
+def _ws(q, texts):
+    return WitnessSet.from_strings(q, texts)
 
 
 def _all_prefixes(q, k):
-    return WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in product(range(q), repeat=k)))
+    return WitnessSet(Word(t, q) for t in product(range(q), repeat=k))
 
 
 def _dfs(ws, m, d, node_limit=None):
@@ -51,7 +51,7 @@ def _weight_le1_witness_sets(q, k, max_size):
     out = []
     for size in range(0, max_size):
         for extra in combinations(singles, size):
-            out.append(WitnessSet(q=q, k=k, prefixes=(zero,) + extra))
+            out.append(WitnessSet((zero,) + extra))
     return out
 
 
@@ -61,7 +61,7 @@ def _random_witness_set(rng):
     r = rng.randint(1, min(3, q**k))
     pool = sorted(product(range(q), repeat=k))
     others = rng.sample(pool[1:], r - 1)
-    return WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + others))
+    return WitnessSet(Word(t, q) for t in [pool[0]] + others)
 
 
 def _distinct_witness_sets(q, k, r):
@@ -75,32 +75,28 @@ def _distinct_witness_sets(q, k, r):
     for extra in combinations(pool[1:], r - 1):
         words = (pool[0],) + extra
         key = tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
-        found.setdefault(key, WitnessSet(q=q, k=k, prefixes=tuple(Word(w, q) for w in words)))
+        found.setdefault(key, WitnessSet(Word(w, q) for w in words))
     return list(found.values())
 
 
 def test_witness_set_validation():
-    ws = _ws(2, 2, ["00", "01", "10"])
+    ws = _ws(2, ["00", "01", "10"])
     assert ws.q == 2 and ws.k == 2 and len(ws.prefixes) == 3
     with pytest.raises(ValueError):
-        WitnessSet(q=1, k=2, prefixes=(Word((0, 0), 2),))
+        WitnessSet(())
     with pytest.raises(ValueError):
-        WitnessSet(q=2, k=0, prefixes=())
+        _ws(2, ["01", "00"])  # zero word must come first
     with pytest.raises(ValueError):
-        WitnessSet(q=2, k=2, prefixes=())
+        _ws(2, ["00", "01", "01"])
     with pytest.raises(ValueError):
-        _ws(2, 2, ["01", "00"])  # zero word must come first
+        _ws(2, ["00", "011"])
     with pytest.raises(ValueError):
-        _ws(2, 2, ["00", "01", "01"])
-    with pytest.raises(ValueError):
-        _ws(2, 2, ["00", "011"])
-    with pytest.raises(ValueError):
-        WitnessSet(q=2, k=2, prefixes=(Word((0, 0), 3),))
+        WitnessSet((Word((0, 0), 2), Word((0, 1), 3)))
 
 
 def test_node_limit_validation():
     # checked before the pre-check, which would refute each search here with 0 nodes
-    ws = _ws(2, 2, ["00", "01"])
+    ws = _ws(2, ["00", "01"])
     params = CodeParams(q=2, n=4, k=2, d=3)
     for limit in (0, -5):
         with pytest.raises(ValueError):
@@ -114,7 +110,7 @@ def test_node_limit_validation():
 
 
 def test_tail_search_argument_validation():
-    ws = _ws(2, 2, ["00", "01"])
+    ws = _ws(2, ["00", "01"])
     with pytest.raises(ValueError):
         tail_search(ws, -1, 3)
     with pytest.raises(ValueError):
@@ -122,14 +118,14 @@ def test_tail_search_argument_validation():
 
 
 def test_three_prefix_instance_m2_infeasible():
-    out = tail_search(_ws(2, 2, ["00", "01", "10"]), 2, 3)
+    out = tail_search(_ws(2, ["00", "01", "10"]), 2, 3)
     assert not out.feasible
     assert out.exhausted
     assert out.witness is None
 
 
 def test_three_prefix_instance_m3_feasible():
-    out = tail_search(_ws(2, 2, ["00", "01", "10"]), 3, 3)
+    out = tail_search(_ws(2, ["00", "01", "10"]), 3, 3)
     assert out.feasible and out.exhausted
     assert out.witness is not None
     assert min_distance(out.witness) >= 3
@@ -138,23 +134,23 @@ def test_three_prefix_instance_m3_feasible():
 
 def test_degenerate_instances():
     # no pairs to violate: single prefix, or m = 0 with distances met
-    out = tail_search(_ws(2, 2, ["00"]), 0, 2)
+    out = tail_search(_ws(2, ["00"]), 0, 2)
     assert out.feasible and out.exhausted and out.nodes_explored == 0
-    out = tail_search(_ws(2, 2, ["00", "11"]), 0, 2)
+    out = tail_search(_ws(2, ["00", "11"]), 0, 2)
     assert out.feasible and len(out.witness) == 2
-    out = tail_search(_ws(2, 2, ["00", "01"]), 0, 2)
+    out = tail_search(_ws(2, ["00", "01"]), 0, 2)
     assert not out.feasible and out.exhausted
 
 
 def test_witness_keeps_zero_tail_on_zero_prefix():
-    out = tail_search(_ws(3, 2, ["00", "11", "22"]), 2, 3)
+    out = tail_search(_ws(3, ["00", "11", "22"]), 2, 3)
     assert out.feasible
     assert Word((0, 0, 0, 0), 3) in out.witness
 
 
 def test_node_limit_aborts_exactly():
     # the pre-check leaves this refutation to the DFS, which needs 98 nodes
-    ws = _ws(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
+    ws = _ws(2, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
     assert _dfs(ws, 3, 4) == (None, 98, True)
     out = tail_search(ws, 3, 4, node_limit=97)
@@ -165,7 +161,7 @@ def test_node_limit_aborts_exactly():
 
 
 def test_node_limit_large_enough_matches_unlimited():
-    ws = _ws(2, 2, ["00", "01", "10"])
+    ws = _ws(2, ["00", "01", "10"])
     free = tail_search(ws, 3, 3)
     capped = tail_search(ws, 3, 3, node_limit=10**6)
     assert capped == free
@@ -188,12 +184,12 @@ def test_node_limit_boundary(q, n, k, d):
 
 def test_nodes_explored_zero_on_prepass_refutation():
     # prefix distance 1 plus 1 tail column can never reach 3
-    out = tail_search(_ws(2, 2, ["00", "01"]), 1, 3)
+    out = tail_search(_ws(2, ["00", "01"]), 1, 3)
     assert not out.feasible and out.exhausted and out.nodes_explored == 0
 
 
 def test_determinism():
-    ws = _ws(2, 3, ["000", "001", "010", "011"])
+    ws = _ws(2, ["000", "001", "010", "011"])
     runs = [tail_search(ws, 4, 3) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0].witness == runs[1].witness
@@ -215,19 +211,19 @@ def test_slack_table_serves_any_number_of_searches():
 
 
 def test_naive_oracle_examples():
-    assert naive_oracle(_ws(2, 2, ["00", "01", "10"]), 2, 3) is False
-    assert naive_oracle(_ws(2, 1, ["0", "1"]), 2, 3) is True
-    assert naive_oracle(_ws(2, 2, ["00", "01"]), 0, 1) is True
+    assert naive_oracle(_ws(2, ["00", "01", "10"]), 2, 3) is False
+    assert naive_oracle(_ws(2, ["0", "1"]), 2, 3) is True
+    assert naive_oracle(_ws(2, ["00", "01"]), 0, 1) is True
 
 
 def test_naive_oracle_guard():
-    ws = _ws(2, 3, ["000", "001", "010", "011", "101"])
+    ws = _ws(2, ["000", "001", "010", "011", "101"])
     with pytest.raises(GuardLimitError):
         naive_oracle(ws, 7, 5)  # 2**28 assignments
     # 2**20000 has over 4,300 digits: the guard must reject it without
     # building the power, in one short line
     with pytest.raises(GuardLimitError) as info:
-        naive_oracle(_ws(2, 2, ["00", "01", "10"]), 10000, 3)
+        naive_oracle(_ws(2, ["00", "01", "10"]), 10000, 3)
     message = str(info.value)
     assert "\n" not in message and len(message.encode()) < 200
     with pytest.raises(ValueError):
@@ -261,14 +257,14 @@ def test_oracle_equivalence_small_grid():
 
 def test_four_word_refutation_matches_oracle():
     # the q=3 critical instance is small enough for the brute-force oracle
-    ws = _ws(3, 2, ["00", "01", "02", "10"])
+    ws = _ws(3, ["00", "01", "02", "10"])
     assert naive_oracle(ws, 3, 4) is False
     assert tail_search(ws, 3, 4).feasible is False
 
 
 def test_k2_refutations_match_oracle():
     for d in (5, 6):
-        ws = _ws(2, 2, ["00", "01", "10"])
+        ws = _ws(2, ["00", "01", "10"])
         assert naive_oracle(ws, d, d) is False
         assert tail_search(ws, d, d).feasible is False
 
@@ -349,7 +345,7 @@ def test_pigeonhole_count_matches_references_random():
         k = rng.randint(1, 2)
         pool = sorted(product(range(q), repeat=k))
         others = rng.sample(pool[1:], rng.randint(1, min(4, len(pool) - 1)))
-        ws = WitnessSet(q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + others))
+        ws = WitnessSet(Word(t, q) for t in [pool[0]] + others)
         m = rng.randint(1, 5)
         d = rng.randint(2, m + k)
         feasible, _ = _check_against_unreduced(ws, m, d)
@@ -384,7 +380,7 @@ def test_shared_budget_matches_unreduced_random():
         pool = list(product(range(2), repeat=k))
         r = rng.randint(3, min(10, len(pool)))
         others = rng.sample(pool[1:], r - 1)
-        ws = WitnessSet(q=2, k=k, prefixes=tuple(Word(t, 2) for t in [pool[0]] + others))
+        ws = WitnessSet(Word(t, 2) for t in [pool[0]] + others)
         m = rng.randint((r + 1) // 2, max(5, (r + 1) // 2))
         d = rng.randint(2, m + k)
         _check_against_unreduced(ws, m, d)
@@ -401,7 +397,7 @@ def test_shared_budget_matches_unreduced_random():
 def test_shared_budget_matches_unreduced_pinned(texts, m, d):
     # the smallest feasible searches found (no random case above reaches
     # them) that a shared budget blocked one agreement early would refute
-    feasible, _ = _check_against_unreduced(_ws(2, len(texts[0]), texts), m, d)
+    feasible, _ = _check_against_unreduced(_ws(2, texts), m, d)
     assert feasible
 
 
@@ -485,9 +481,7 @@ def test_precheck_refutes_only_infeasible_searches_random():
         k = rng.randint(1, 3)
         pool = list(product(range(q), repeat=k))
         r = rng.randint(2, min(6, len(pool)))
-        ws = WitnessSet(
-            q=q, k=k, prefixes=tuple(Word(t, q) for t in [pool[0]] + rng.sample(pool[1:], r - 1))
-        )
+        ws = WitnessSet(Word(t, q) for t in [pool[0]] + rng.sample(pool[1:], r - 1))
         m = rng.randint(0, 5)
         d = rng.randint(1, m + k)
         reason = _precheck([w.symbols for w in ws.prefixes], q, m, d)[1]
@@ -510,7 +504,7 @@ def _need_and_capacity(ws, m, d):
     return need, m * best
 
 
-_D56_K3 = _ws(2, 3, ["000", "001", "010", "011", "101"])
+_D56_K3 = _ws(2, ["000", "001", "010", "011", "101"])
 
 
 @pytest.mark.parametrize(
@@ -597,7 +591,7 @@ def test_outcome_does_not_depend_on_q_past_r_plus_1():
         words = [] if tails is None else sorted(p + tuple(t) for p, t in zip(prefixes, tails))
         for q in range(r + 1, 13):
             assert _backtrack(slack, q, m, None) == want, (prefixes, m, d, q)
-            out = tail_search(WitnessSet(q, k, (Word(p, q) for p in prefixes)), m, d)
+            out = tail_search(WitnessSet(Word(p, q) for p in prefixes), m, d)
             if reason is None:
                 assert out.nodes_explored == nodes, (prefixes, m, d, q)
                 assert [w.symbols for w in out.witness or ()] == words, (prefixes, m, d, q)
@@ -752,20 +746,18 @@ def test_full_search_guard_boundary(monkeypatch):
 def test_full_search_witnesses_match_oracle_feasibility():
     # same decision through the witness-set surface, via the naive oracle
     for n, want in ((4, False), (5, True)):
-        ws = WitnessSet(
-            q=2, k=2, prefixes=tuple(Word(t, 2) for t in product((0, 1), repeat=2))
-        )
+        ws = WitnessSet(Word(t, 2) for t in product((0, 1), repeat=2))
         assert naive_oracle(ws, n - 2, 3) is want
         assert full_search(CodeParams(q=2, n=n, k=2, d=3)).feasible is want
 
 
 def test_outcome_serialization():
-    out = tail_search(_ws(2, 2, ["00", "01", "10"]), 3, 3)
+    out = tail_search(_ws(2, ["00", "01", "10"]), 3, 3)
     d = out.to_dict()
     assert list(d) == ["feasible", "exhausted", "nodes_explored", "witness"]
     assert d["feasible"] is True
     assert d["witness"] == ["00000", "01110", "10011"]
-    refuted = tail_search(_ws(2, 2, ["00", "01", "10"]), 2, 3)
+    refuted = tail_search(_ws(2, ["00", "01", "10"]), 2, 3)
     assert "witness" not in refuted.to_dict()
 
 
@@ -789,6 +781,10 @@ def test_parse_witness_set_errors():
         parse_witness_set("2 2\n")
     with pytest.raises(ValueError):
         parse_witness_set("2 2\n00\n02\n")
+    # the header's k must be the prefix length, whichever side is longer
+    for text in ("2 3\n00\n01\n", "2 1\n00\n01\n"):
+        with pytest.raises(ValueError, match="but the prefixes have length 2$"):
+            parse_witness_set(text)
 
 
 def test_load_witness_set(tmp_path):

@@ -186,7 +186,7 @@ def test_node_limited_verify_is_never_confirmed():
     confirmed = verify("d56_k3", 2, 5, 3, node_limit=10)
     assert confirmed.confirmed
     # an aborted search, here one the pre-check leaves to the DFS, never confirms
-    ws = WitnessSet.from_strings(2, 4, ["0000", "0101", "0110", "1011", "1100", "1110"])
+    ws = WitnessSet.from_strings(2, ["0000", "0101", "0110", "1011", "1100", "1110"])
     verdict = Verdict("d56_k3", confirmed.params, tail_search(ws, 3, 4, node_limit=10))
     assert not verdict.confirmed
     assert not verdict.outcome.exhausted
@@ -315,14 +315,14 @@ def test_both_case_families_are_refuted():
     # cross-check: a second five-prefix family is refuted on its own too,
     # although verify needs only the first
     for d in (5, 6):
-        ws = WitnessSet.from_strings(2, 3, ["000", "001", "010", "100", "011"])
+        ws = WitnessSet.from_strings(2, ["000", "001", "010", "100", "011"])
         out = tail_search(ws, d + 1, d)
         assert not out.feasible and out.exhausted
 
 
 def test_dropping_a_prefix_breaks_the_refutation():
     # without the last word the remaining four admit tails at m = 6, d = 5
-    ws = WitnessSet.from_strings(2, 3, ["000", "001", "010", "011"])
+    ws = WitnessSet.from_strings(2, ["000", "001", "010", "011"])
     out = tail_search(ws, 6, 5)
     assert out.feasible
     assert out.witness is not None
