@@ -152,24 +152,23 @@ def _backtrack(
     1..r-1 of tails hold -1 in every column not yet assigned.
 
     q is the alphabet the search runs over.  tail_search passes
-    min(q, r + 1), which gives the same nodes and tails as q itself:
-    in any column the rows above word i, at most r - 1, hold at most
-    r - 1 symbols, so with r + 1 or more, two stay that no row holds.
-    Such a symbol is never blocked, so no column is wiped out or forced,
-    and it adds 0 to the pigeonhole count's column minimum, however many
-    there are; and precedence (below) tries no symbol above r - 1.
+    min(q, r), which gives the same nodes and tails as q itself: the
+    rows above word i, at most r - 1, leave in each column a symbol no
+    row holds.  It is never blocked, so no column is wiped out; a column
+    forced to it agrees with no row, so the forcing prunes nothing; it
+    adds 0 to the pigeonhole count's column minimum; and precedence
+    (below) tries no symbol above r - 1.
 
     Cells are bits: bit c * q + s stands for symbol s in tail column c,
     and rowmask[j] is row j's tail as bits (the zero word's is low,
     symbol 0 in every column).  At cell p = (i - 1) * m + c, w is word
-    i's cells placed so far: 0 at a word's first cell, it gains one bit
-    per accepted placement, and a revisited cell cuts it from rowmask[i]
-    to the columns before c.  Words i and j may agree in at most
-    slack[i][j] tail columns, and word i has used
+    i's cells placed so far: an accepted placement adds its bit, or sets
+    w to 0 if it completes the word, and a revisited cell cuts it from
+    rowmask[i] to the columns before c.  Words i and j may agree in at
+    most slack[i][j] tail columns, and word i has used
     popcount(w & rowmask[j]) of them.  A placement that agrees with a
     word whose budget is spent is pruned.  This pairwise prune is exact:
-    every other open column can still be made to disagree with that one
-    word.
+    every other open column can still be made to disagree with that word.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
     budget1, budget2, planes, table).  mask is the blocked-symbol mask,
@@ -188,16 +187,18 @@ def _backtrack(
     placement writes rowmask[i], w plus its own bit, and state[p + 1],
     state[p] plus the bits of the budgets it spends and the rows it
     moves into a set; a placement that moves neither writes state[p]
-    itself, so a long tail adds one reference per cell.  A re-accept
-    overwrites them, so nothing is undone.  On entering word i, _start
-    builds word i's start state from its slack row.
+    itself, so a long tail adds one reference per cell.  One that
+    completes word i writes _start's state for word i + 1, or is pruned
+    if there is none; word 1 meets only the zero word, so its state[0],
+    set before the loop, always exists.  Each state[p] has one writer, a
+    re-accept overwrites it, and the search moves back only by
+    exhausting a cell, so nothing is undone.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
-    a placement reads only the budgets of the rows that agree.
-    At cell (i, c) it holds only rows above i, in increasing order: rows
-    are filled in order, so an accepted placement appends i, and undoing
-    it pops i, which is then the last entry.  The zero word holds 0 in
-    every column from the start.
+    a placement reads only the budgets of the rows that agree.  At cell
+    (i, c) it holds only rows above i, in increasing order, the zero
+    word in every column from the start: rows are filled in order, so an
+    accepted placement appends i, and a revisit pops it, the last entry.
 
     Two symmetry reductions apply.  Value precedence: the symbol of
     word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
@@ -230,10 +231,10 @@ def _backtrack(
     A_a <= slack[i][a] and A_b <= slack[i][b], E is at most
     (slack[i][a] + slack[i][b] - D(a, b)) // 2, the start budget in
     table[b][a], of which word i has used popcount(w & rowmask[a] &
-    rowmask[b]).  A negative start leaves word i no tail, so the search
-    backs out of word i - 1's last placement.  The bound is not exact,
-    but every solution meets it, so it removes only subtrees that hold
-    no solution: the first solution found, and so every outcome and
+    rowmask[b]).  A negative start leaves word i no tail and prunes
+    word i - 1's last placement.  The bound is not exact, but every
+    solution meets it, so it removes only subtrees that hold no
+    solution: the first solution found, and so every outcome and
     witness, stays the same, and only the node count falls.  A placement
     reads the budgets of O(|agree|^2) pairs, so the budget is kept only
     when r <= 2m: word i's table, i(i-1)/2 entries, is then no larger
@@ -282,17 +283,16 @@ def _backtrack(
     of forcing, so the count keeps no plane for them.
 
     Every attempted symbol placement counts as one node, pruned or not,
-    a propagation or count prune included; one that completes word
-    i - 1 but leaves word i no start is undone and counted once.  A
-    prune is one bit test.  A placement that passes it takes a popcount
-    per agreeing row whose slack is at most c + 3, as only those can
-    have 3 or fewer agreements left after c cells, and per agreeing
-    pair whose budget is at most reach = c + 1.  The propagation runs
-    only on placements that spend a budget: a round is about 5q shifts,
-    ANDs and ORs of an m*q-bit integer, plus a popcount per row that
-    agrees with a cell it forces and whose slack is at most the decided
-    columns (no other row can be at its slack).  The count is about
-    3q + 7 such operations on the 6*m*q-bit planes, two of them
+    by the mask, the propagation, the count or the next word's start.  A
+    mask prune is one bit test.  A placement that passes it takes a
+    popcount per agreeing row whose slack is at most c + 3, as only
+    those can have 3 or fewer agreements left after c cells, and per
+    agreeing pair whose budget is at most reach = c + 1.  The
+    propagation runs only on placements that spend a budget: a round is
+    about 5q shifts, ANDs and ORs of an m*q-bit integer, plus a popcount
+    per row that agrees with a cell it forces and whose slack is at most
+    the decided columns (no other row can be at its slack).  The count
+    is about 3q + 7 such operations on the 6*m*q-bit planes, two of them
     popcounts; a row joining a set costs five.  A checked placement
     builds the open-column mask once for both checks, not every cell,
     which would shift m*q bits per node, and the count builds its column
@@ -321,8 +321,8 @@ def _backtrack(
     rep = sum(1 << t * width for t in range(6))
     fill = (1 << q) - 1
     limit = sys.maxsize if node_limit is None else node_limit
-    nodes = 0
-    p = 0
+    nodes = p = w = 0
+    state[0] = _start(slack[1], rowmask, m, q, triple)
     while True:
         i = 1 + p // m
         c = p % m
@@ -333,12 +333,6 @@ def _backtrack(
         if prev >= 0:
             col[prev].pop()
             w = rowmask[i] & (1 << c * q) - 1
-        elif not c:
-            w = 0
-            if (start := _start(slack_i, rowmask, m, q, triple)) is None:
-                p -= 1
-                continue
-            state[p] = start
         cell = state[p]
         mask, budget1, budget2, planes, table = cell
         reach = c + 1
@@ -394,13 +388,19 @@ def _backtrack(
                 full = head ^ some
                 if (full >> half).bit_count() > left2 or (full & first).bit_count() > left1:
                     continue
+            rowmask[i] = cells = w | 1 << c * q + s
+            if c + 1 < m:
+                state[p + 1] = (after, left1, left2, plane, table) if moved else cell
+            elif p + 1 < total:
+                if (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
+                    continue
+                state[p + 1], cells = start, 0
             agree.append(i)
             tails_i[c] = s
             p += 1
             if p == total:
                 return tails, nodes, True
-            state[p] = (after, left1, left2, plane, table) if moved else cell
-            rowmask[i] = w = w | 1 << c * q + s
+            w = cells
             break
         else:
             tails_i[c] = -1
@@ -484,10 +484,10 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     Runs the pre-check, then the DFS, and re-checks any witness.
     node_limit caps the DFS's attempted symbol placements; the pre-check
     explores no nodes, so no limit can cut it short.  The pre-check's
-    table grows as the square of the prefixes and the DFS's masks with
-    the tail symbols, so both counts are guarded first.  No width grows
-    with q: the one-hot words number only the symbols in use, and the
-    DFS runs over at most r + 1 symbols (see _backtrack).
+    table grows as the square of the prefixes and the DFS's masks and
+    the witness with the r * m tail symbols, so both are guarded first.
+    No width grows with q: in the one-hot words and in the DFS, over
+    min(q, r) symbols, a position takes at most r symbols (see _backtrack).
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -497,12 +497,12 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
         raise ValueError(f"node limit must be at least 1, got {node_limit}")
     r = len(ws.prefixes)
     guard_terms(r, "the search has {} prefixes", FULL_SEARCH_PREFIX_LIMIT)
-    guard_terms((r - 1) * m, "the tails would hold {} symbols")
+    guard_terms(r * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     slack, reason = _precheck(prefixes, ws.q, m, d)
     if reason is not None:
         return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    tails, nodes, exhausted = _backtrack(slack, min(ws.q, r + 1), m, node_limit)
+    tails, nodes, exhausted = _backtrack(slack, min(ws.q, r), m, node_limit)
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))

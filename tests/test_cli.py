@@ -217,7 +217,7 @@ def test_verify_large_alphabet(cli_env, argv):
 
 @pytest.mark.parametrize("q", [10**6, 10**9])
 def test_search_tail_large_alphabet(cli_env, tmp_path, q):
-    # the DFS runs over r + 1 = 3 symbols, not q, so masks and per-node work
+    # the DFS runs over r = 2 symbols, not q, so masks and per-node work
     # stay small
     path = tmp_path / "pair.txt"
     path.write_text(f"{q} 1\n0\n1\n", encoding="utf-8")
@@ -242,6 +242,18 @@ def test_search_tail_prefix_guard(cli_env, tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "60000 prefixes, over the guard 4096" in proc.stderr and len(proc.stderr) < 200
+
+
+def test_search_tail_one_prefix_guard(cli_env, tmp_path):
+    # one prefix leaves the DFS nothing to place, but the witness still
+    # holds the zero word's tail: 10**8 symbols of it would not fit
+    path = tmp_path / "one.txt"
+    path.write_text("2 2\n00\n", encoding="utf-8")
+    argv = ["search-tail", "--d", "1", "--tail-len", str(10**8), "--prefixes", str(path)]
+    proc = _run_capped(cli_env, [*argv, "--format", "json"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "over the guard 1000000" in proc.stderr and len(proc.stderr) < 200
 
 
 def test_search_full_long_tail_memory(cli_env):

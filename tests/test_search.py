@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from griesmer import bounds
 from griesmer.core import Code, CodeParams, Word, is_systematic, min_distance, one_hot
 from griesmer.search import (
     FULL_SEARCH_PREFIX_LIMIT,
@@ -309,10 +310,12 @@ def _check_against_unreduced(ws, m, d):
     return feasible, reduced[1]
 
 
-def _check_random_against_references(seed, cases):
-    """Small random searches by the engine, which always applies its symmetry
-    reductions, against the unreduced reference DFS and, where small enough,
-    the oracle; tails up to m = 6 leave the propagation columns to force."""
+@pytest.mark.parametrize("seed, cases", [(101, 150), (7, 200)])
+def test_engine_matches_references_random(seed, cases):
+    # small random searches by the engine, which always applies its symmetry
+    # reductions, against the unreduced reference DFS and, where small
+    # enough, the oracle; tails up to m = 6 leave the propagation columns
+    # to force
     rng = random.Random(seed)
     for _ in range(cases):
         ws = _random_witness_set(rng)
@@ -325,14 +328,6 @@ def _check_random_against_references(seed, cases):
         assert feasible or out.nodes_explored in (0, nodes), (ws.prefixes, m, d)
         if ws.q ** (m * (len(ws.prefixes) - 1)) <= 2**12:
             assert naive_oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
-
-
-def test_symmetry_flags_individually_preserve_feasibility():
-    _check_random_against_references(101, 150)
-
-
-def test_symmetry_option_preserves_feasibility():
-    _check_random_against_references(7, 200)
 
 
 def test_pigeonhole_count_matches_references_random():
@@ -570,12 +565,13 @@ def test_one_hot_distances_match_the_zip_definition():
         assert slack == want[: len(slack)], (words, m, d)
 
 
-def test_outcome_does_not_depend_on_q_past_r_plus_1():
-    # tail_search runs the DFS over min(q, r + 1) symbols; over the whole
-    # alphabet the DFS must give the same nodes and tails at every
-    # q >= r + 1, and tail_search the same outcome.  With q >= r a word can
-    # differ from every other in every column, so each search the pre-check
-    # leaves open is feasible, and the nodes and witness are what can differ
+def test_outcome_does_not_depend_on_q_past_r():
+    # tail_search runs the DFS over min(q, r) symbols; over the whole
+    # alphabet the DFS must give the same nodes and tails at every q >= r,
+    # and tail_search the same outcome (from q = 3, as the prefixes use
+    # symbols below 3).  With q >= r a word can differ from every other in
+    # every column, so each search the pre-check leaves open is feasible,
+    # and the nodes and witness are what can differ
     rng = random.Random(41)
     for _ in range(400):
         k = rng.randint(1, 3)
@@ -585,12 +581,15 @@ def test_outcome_does_not_depend_on_q_past_r_plus_1():
         r = len(prefixes)
         m = rng.randint(1, 5)
         d = rng.randint(1, m + k)
-        slack, reason = _precheck(prefixes, r + 1, m, d)
-        want = _backtrack(slack, r + 1, m, None)
+        # the slack table does not depend on q, nor the pre-check's verdict at q >= max(r, 3)
+        slack, reason = _precheck(prefixes, max(r, 3), m, d)
+        want = _backtrack(slack, r, m, None)
         tails, nodes, _ = want
         words = [] if tails is None else sorted(p + tuple(t) for p, t in zip(prefixes, tails))
-        for q in range(r + 1, 13):
+        for q in range(r, 13):
             assert _backtrack(slack, q, m, None) == want, (prefixes, m, d, q)
+            if q < 3:
+                continue
             out = tail_search(WitnessSet(Word(p, q) for p in prefixes), m, d)
             if reason is None:
                 assert out.nodes_explored == nodes, (prefixes, m, d, q)
@@ -741,6 +740,18 @@ def test_full_search_guard_boundary(monkeypatch):
     for q, k in ((2, 4), (3, 2), (9, 1)):
         with pytest.raises(GuardLimitError, match="guard 8;"):
             full_search(CodeParams(q=q, n=k + 1, k=k, d=2))
+
+
+def test_tail_symbols_guard_boundary(monkeypatch):
+    # the guard counts all r * m tail symbols, the zero word's included, so
+    # a one-prefix search, which the DFS decides at once, is guarded too
+    monkeypatch.setattr(bounds, "BOUND_TERMS_LIMIT", 10)
+    for texts, m in ((["0"], 10), (["0", "1"], 5)):
+        ws = _ws(2, texts)
+        assert tail_search(ws, m, 1).feasible
+        want = f"^the tails would hold {len(texts) * (m + 1)} symbols, over the guard 10$"
+        with pytest.raises(GuardLimitError, match=want):
+            tail_search(ws, m + 1, 1)
 
 
 def test_full_search_witnesses_match_oracle_feasibility():
