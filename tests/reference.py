@@ -93,12 +93,12 @@ def naive_oracle(ws, m, d):
                 f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"
             )
     prefixes = [w.symbols for w in ws.prefixes]
-    fixed = prefixes[0] + (0,) * m
+    fixed = (prefixes[0] + (0,) * m,)
     tail_space = list(product(range(ws.q), repeat=m))
-    for assignment in product(tail_space, repeat=r - 1):
-        words = [fixed]
-        words.extend(prefixes[i + 1] + t for i, t in enumerate(assignment))
-        if _all_pairs_reach(words, d):
+    # every assignment of tails, as whole words: each nonzero prefix's q**m
+    # candidate words are built once, not once per assignment
+    for words in product(*([p + t for t in tail_space] for p in prefixes[1:])):
+        if _all_pairs_reach(fixed + words, d):
             return True
     return False
 

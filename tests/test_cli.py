@@ -10,6 +10,7 @@ import pytest
 
 from griesmer.bounds import bound_report
 from griesmer.cli import main
+from griesmer.search import SearchOutcome
 
 
 def _run(capsys, argv):
@@ -91,7 +92,7 @@ def test_search_tail_byte_order_mark(tmp_path, capsys):
     assert result[0] == 0 and '"feasible":true' in result[1]
 
 
-def test_search_tail_q_mismatch(tmp_path, capsys):
+def test_search_tail_rejects_q(tmp_path, capsys):
     # the witness file's header gives q; the option that repeated it is gone
     ws = tmp_path / "ws.txt"
     ws.write_text("2 2\n00\n01\n", encoding="utf-8")
@@ -298,6 +299,16 @@ def test_verify_node_limit_cannot_cut_a_precheck_refutation_short(capsys):
     payload = json.loads(out)
     assert payload["confirmed"] is True
     assert payload["nodes_explored"] == 0
+
+
+def test_verify_exit_2_when_a_search_is_cut_short(monkeypatch, capsys):
+    # the pre-check refutes every catalogue case with 0 nodes, so no node
+    # limit binds there; a search that stops unexhausted stands in for one
+    monkeypatch.setattr("griesmer.theorems.tail_search", lambda *args: SearchOutcome(None, 7, False))
+    argv = ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", "3", "--format", "json"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 2 and '"confirmed":false,"nodes_explored":7' in out
+    assert _run(capsys, ["verify-all", "--kmax", "2"])[0] == 2
 
 
 def test_verify_inadmissible_exit_1(capsys):

@@ -7,14 +7,9 @@ import pytest
 from griesmer import bounds
 from griesmer.bounds import GuardLimitError, griesmer_sum
 from griesmer.core import CodeParams
-from griesmer.search import (
-    WitnessSet,
-    _backtrack,
-    _precheck,
-    full_search,
-    tail_search,
-)
+from griesmer.search import WitnessSet, _precheck, full_search, tail_search
 from griesmer.theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
+from test_search import _dfs
 
 
 def _prefix_strings(ws):
@@ -23,14 +18,6 @@ def _prefix_strings(ws):
 
 def _critical_m(verdict):
     return verdict.params.n - verdict.params.k
-
-
-def _dfs(theorem_id, q, d, k):
-    """The DFS alone on the case, given the pre-check's slack table but not its verdict."""
-    ws = witness_set_for(theorem_id, q, d, k)
-    m = griesmer_sum(q, k, d) - 1 - k
-    slack, _ = _precheck([w.symbols for w in ws.prefixes], q, m, d)
-    return _backtrack(slack, q, m, None)
 
 
 def test_theorem_ids():
@@ -247,7 +234,8 @@ def test_dfs_alone_refutes_every_catalogue_case():
     for verdict in verify_all(8):
         assert verdict.confirmed and verdict.outcome.nodes_explored == 0
         p = verdict.params
-        assert _dfs(verdict.theorem_id, p.q, p.d, p.k)[0] is None, verdict.to_dict()
+        ws = witness_set_for(verdict.theorem_id, p.q, p.d, p.k)
+        assert _dfs(ws, _critical_m(verdict), p.d)[0] is None, verdict.to_dict()
 
 
 def test_verify_all_rejects_small_kmax():
@@ -290,7 +278,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(theorem_id, q, d, k)[1] for k in ks} == {273}
+        assert {_dfs(ws, _critical_m(v), d)[1] for ws, v in zip(witnesses, verdicts)} == {273}
         assert {_critical_m(v) for v in verdicts} == {7}
 
 
@@ -333,4 +321,4 @@ def test_verify_searches_only_the_first_family():
     solo = tail_search(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5)
     assert verdict.outcome == solo
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs("d56_k3", 2, 5, 3) == (None, 439, True)
+    assert _dfs(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5) == (None, 439, True)
