@@ -293,12 +293,6 @@ def _weight1_cases():
 # id: (cases, the oracle's limit on q**(m * (r - 1)) or None, the summary items pinned)
 _GRIDS = {
     "weight1": (_weight1_cases, 2**12, {}),
-    # the q = 3 critical instance and the k = 2 ones at d = 5, 6
-    "critical": (
-        lambda: [(_ws(3, ["00", "01", "02", "10"]), 3, 4)]
-        + [(_ws(2, ["00", "01", "10"]), d, d) for d in (5, 6)],
-        3**9, {"feasible": {False}},
-    ),
     # q >= 3 and r >= 4 make the precedence bound bind at words 2 and beyond;
     # d >= m + k is left out because there the oracle mostly enumerates
     # everything to confirm a 0-node pre-check refutation
@@ -308,13 +302,6 @@ _GRIDS = {
     # binary, k <= 3, up to six prefixes: the three-word budget applies
     # wherever 3 <= r <= 2m, and a looser budget changes no verdict, only the nodes
     "budget-q2-k3-r6-m5": (lambda: _distinct(2, [1, 2, 3], range(2, 7), range(6)), 2**10, {"nodes": 22388}),
-    # the smallest feasible searches found (no random case reaches them)
-    # that a shared budget blocked one agreement early would refute
-    "budget-early-block": (
-        lambda: [(_ws(2, ["00000", "00011", "00100", "01001", "10010"]), 6, 6),
-                 (_ws(2, ["0000", "0001", "0010", "0100", "1001"]), 7, 6)],
-        None, {"feasible": {True}},
-    ),
     # with m = 1 no column is left after the one placed, so the propagation
     # cannot fire; without the pigeonhole count these totals are 40,558 and
     # 24,087, with the column wipe-out alone 43,684 and 24,087, and with no
@@ -336,6 +323,32 @@ def test_differential_grid(grid):
     cases, oracle_limit, pins = _GRIDS[grid]
     summary = _differential_grid(cases(), oracle_limit)
     assert {key: summary[key] for key in pins} == pins
+
+
+def test_four_word_refutation_matches_oracle():
+    # the q = 3 critical instance is small enough for the brute-force oracle
+    summary = _differential_grid([(_ws(3, ["00", "01", "02", "10"]), 3, 4)], 3**9)
+    assert summary["feasible"] == {False}
+
+
+def test_k2_refutations_match_oracle():
+    summary = _differential_grid([(_ws(2, ["00", "01", "10"]), d, d) for d in (5, 6)], 3**9)
+    assert summary["feasible"] == {False}
+
+
+@pytest.mark.parametrize(
+    "texts, m, d",
+    [
+        (["00000", "00011", "00100", "01001", "10010"], 6, 6),
+        (["0000", "0001", "0010", "0100", "1001"], 7, 6),
+    ],
+    ids=["k5-r5-m6-d6", "k4-r5-m7-d6"],
+)
+def test_shared_budget_matches_unreduced_pinned(texts, m, d):
+    # the smallest feasible searches found (no random case reaches them)
+    # that a shared budget blocked one agreement early would refute
+    summary = _differential_grid([(_ws(2, texts), m, d)], None)
+    assert summary["feasible"] == {True}
 
 
 def _draw_pigeonhole(rng):
