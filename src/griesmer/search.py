@@ -148,8 +148,7 @@ def _backtrack(
     negative slack refutes with 0 nodes, as no tails separate that pair.
 
     Words are assigned in table order; within a word, tail columns are
-    filled left to right with symbols tried in increasing order.  Rows
-    1..r-1 of tails hold -1 in every column not yet assigned.
+    filled left to right with symbols tried in increasing order.
 
     q is the alphabet the search runs over.  tail_search passes
     min(q, r), which gives the same nodes and tails as q itself: the
@@ -160,15 +159,15 @@ def _backtrack(
     (below) tries no symbol above r - 1.
 
     Cells are bits: bit c * q + s stands for symbol s in tail column c,
-    and rowmask[j] is row j's tail as bits (the zero word's is low,
-    symbol 0 in every column).  At cell p = (i - 1) * m + c, w is word
-    i's cells placed so far: an accepted placement adds its bit, or sets
-    w to 0 if it completes the word, and a revisited cell cuts it from
-    rowmask[i] to the columns before c.  Words i and j may agree in at
-    most slack[i][j] tail columns, and word i has used
-    popcount(w & rowmask[j]) of them.  A placement that agrees with a
-    word whose budget is spent is pruned.  This pairwise prune is exact:
-    every other open column can still be made to disagree with that word.
+    and rowmask[j], the only record of row j's placed cells, is low
+    (symbol 0 everywhere) for the zero word.  At cell p = (i - 1) * m +
+    c, w is word i's cells before c: rowmask[i] less its bit in column
+    c, the cell's symbol on a revisit.  An accepted placement writes w
+    plus its bit to rowmask[i], an exhausted cell w, so a word backed
+    out of is 0.  Words i and j may agree in at most slack[i][j] tail
+    columns, and word i has used popcount(w & rowmask[j]) of them.  A
+    placement that agrees with a word whose budget is spent is pruned;
+    exactly, as every other open column can still disagree with it.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
     budget1, budget2, planes, table).  mask is the blocked-symbol mask,
@@ -184,32 +183,32 @@ def _backtrack(
     set's bound, in one saturating step on the planes; budgets only fall
     along a word, so a set only grows.  table holds the three-word
     budgets' start values (see triple), fixed for the word.  An accepted
-    placement writes rowmask[i], w plus its own bit, and state[p + 1],
-    state[p] plus the bits of the budgets it spends and the rows it
-    moves into a set; a placement that moves neither writes state[p]
-    itself, so a long tail adds one reference per cell.  One that
-    completes word i writes _start's state for word i + 1, or is pruned
-    if there is none; word 1 meets only the zero word, so its state[0],
-    set before the loop, always exists.  Each state[p] has one writer, a
-    re-accept overwrites it, and the search moves back only by
-    exhausting a cell, so nothing is undone.
+    placement writes state[p + 1], state[p] plus the bits of the budgets
+    it spends and the rows it moves into a set; a placement that moves
+    neither writes state[p] itself, so a long tail adds one reference
+    per cell.  One that completes word i writes _start's state for word
+    i + 1, or is pruned if there is none; word 1 meets only the zero
+    word, so its state[0], set before the loop, always exists.  Each
+    state[p] has one writer, a re-accept overwrites it, and the search
+    moves back only by exhausting a cell, so nothing is undone.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.  At cell
     (i, c) it holds only rows above i, in increasing order, the zero
     word in every column from the start: rows are filled in order, so an
     accepted placement appends i, and a revisit pops it, the last entry.
+    The tails are read off it once, after the loop.
 
     Two symmetry reductions apply.  Value precedence: the symbol of
-    word i in tail column c is at most 1 + max(tails[0..i-1][c]), so a
+    word i in tail column c is at most 1 + the largest above it, so a
     nonzero symbol first appears in a column only after every smaller
     one has appeared above it; for word 1 the bound is 1.  Order: the
-    first nonzero word's tail is nonincreasing.  As holders[c] holds
-    only rows above i, the symbols above i in column c are those whose
-    list is nonempty; by precedence they are 0..t with no gap, so the
-    bound starts at q - 1 and drops until the symbol below it has a
-    nonempty list.  holders[c][0] always holds the zero word, so with
-    q = 2 the bound never binds.
+    first nonzero word's tail, read off w, is nonincreasing.  As
+    holders[c] holds only rows above i, the symbols above i in column c
+    are those whose list is nonempty; by precedence they are 0..t with
+    no gap, so the bound starts at q - 1 and drops until the symbol
+    below it has a nonempty list.  holders[c][0] always holds the zero
+    word, so with q = 2 the bound never binds.
 
     Soundness: an alphabet bijection fixing 0, applied to one tail
     column, keeps every distance and keeps the zero word's zero tail.
@@ -265,7 +264,7 @@ def _backtrack(
     with b_j <= 1 or, as a second set, those with b_j <= 2.  Every tail
     of word i through this placement puts a free symbol in each open
     column c' > c, so it agrees with the rows of R at least
-    sum over c' of min over free s of #{j in R : tails[j][c'] = s}
+    sum over c' of min over free s of #{j in R : row j holds s in c'}
     more times, while row j can take only b_j more: a sum above the sum
     of b_j over R prunes the placement.  Soundness: a tail uses only
     free symbols, all q symbols count, precedence or not, and counting
@@ -302,10 +301,6 @@ def _backtrack(
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
         return None, 0, True
-    tails = [[0] * m] + [[-1] * m for _ in range(r - 1)]
-    if r <= 1 or m == 0:
-        return tails, 0, True
-
     triple = q == 2 and r <= 2 * m
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     low = sum(1 << c * q for c in range(m))
@@ -321,26 +316,27 @@ def _backtrack(
     rep = sum(1 << t * width for t in range(6))
     fill = (1 << q) - 1
     limit = sys.maxsize if node_limit is None else node_limit
-    nodes = p = w = 0
-    state[0] = _start(slack[1], rowmask, m, q, triple)
-    while True:
+    nodes = p = 0
+    if total:
+        state[0] = _start(slack[1], rowmask, m, q, triple)
+    while p < total:
         i = 1 + p // m
         c = p % m
-        tails_i = tails[i]
         slack_i = slack[i]
         col = holders[c]
-        prev = tails_i[c]
+        w = rowmask[i]
+        prev = (w >> c * q).bit_length() - 1
         if prev >= 0:
             col[prev].pop()
-            w = rowmask[i] & (1 << c * q) - 1
+            w ^= 1 << c * q + prev
         cell = state[p]
         mask, budget1, budget2, planes, table = cell
         reach = c + 1
         hi = q - 1
         while hi > 1 and not col[hi - 1]:
             hi -= 1
-        if i == 1 and c > 0 and tails_i[c - 1] < hi:
-            hi = tails_i[c - 1]
+        if i == 1 and c > 0 and (x := (w >> (c - 1) * q).bit_length() - 1) < hi:
+            hi = x
         for s in range(prev + 1, hi + 1):
             if nodes >= limit:
                 return None, nodes, False
@@ -388,25 +384,27 @@ def _backtrack(
                 full = head ^ some
                 if (full >> half).bit_count() > left2 or (full & first).bit_count() > left1:
                     continue
-            rowmask[i] = cells = w | 1 << c * q + s
+            rowmask[i] = w | 1 << c * q + s
             if c + 1 < m:
                 state[p + 1] = (after, left1, left2, plane, table) if moved else cell
             elif p + 1 < total:
                 if (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
                     continue
-                state[p + 1], cells = start, 0
+                state[p + 1] = start
             agree.append(i)
-            tails_i[c] = s
             p += 1
-            if p == total:
-                return tails, nodes, True
-            w = cells
             break
         else:
-            tails_i[c] = -1
+            rowmask[i] = w
             p -= 1
             if p < 0:
                 return None, nodes, True
+    tails = [[0] * m for _ in range(r)]
+    for c, col in enumerate(holders):
+        for s, rows in enumerate(col):
+            for j in rows:
+                tails[j][c] = s
+    return tails, nodes, True
 
 
 def _propagate(

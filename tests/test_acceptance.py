@@ -9,12 +9,11 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
 
 from griesmer.bounds import griesmer_sum
 from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance
 from griesmer.search import WitnessSet, full_search, tail_search
-from reference import naive_oracle
+from test_search import _differential_grid, _weight1_cases
 
 
 def _criterion(capsys, number, limit_s, fn):
@@ -112,25 +111,8 @@ def test_criterion_6_positive_controls(capsys):
 
 def test_criterion_7_oracle_equivalence(capsys):
     def run():
-        checked = 0
-        for q in (2, 3):
-            for k in (1, 2, 3):
-                zero = Word((0,) * k, q)
-                singles = [
-                    Word((0,) * i + (s,) + (0,) * (k - i - 1), q)
-                    for i in range(k)
-                    for s in range(1, q)
-                ]
-                for size in range(0, 3):
-                    for extra in combinations(singles, size):
-                        ws = WitnessSet((zero,) + extra)
-                        for m in range(0, 4):
-                            for d in range(1, 5):
-                                got = tail_search(ws, m, d).feasible
-                                want = naive_oracle(ws, m, d)
-                                assert got == want, (q, k, extra, m, d)
-                                checked += 1
-        assert checked >= 800
+        # every weight-<=1 case through the differential harness, each against the oracle
+        assert _differential_grid(_weight1_cases(), 2**12)["oracle"] >= 800
 
     _criterion(capsys, 7, 60.0, run)
 

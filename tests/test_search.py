@@ -116,6 +116,15 @@ def test_degenerate_instances():
     assert not out.feasible and out.exhausted
 
 
+@pytest.mark.parametrize("r, m", [(1, 3), (2, 0), (3, 0)])
+def test_dfs_with_no_cell(r, m):
+    # one prefix, or no tail column, leaves the DFS no cell to place: it
+    # returns the r x m zero tails with 0 nodes, never aborted by a limit
+    slack = [[0] * i for i in range(r)]
+    for limit in (None, 1):
+        assert _backtrack(slack, 2, m, limit) == ([[0] * m for _ in range(r)], 0, True)
+
+
 def test_witness_keeps_zero_tail_on_zero_prefix():
     out = tail_search(_ws(3, ["00", "11", "22"]), 2, 3)
     assert out.feasible
@@ -251,16 +260,17 @@ _oracle = functools.cache(naive_oracle)
 
 def _differential_grid(cases, oracle_limit):
     """Every case through _differential and, where q**(m * (r - 1)) <= oracle_limit, the oracle."""
-    nodes, kinds, verdicts = 0, set(), set()
+    nodes, oracle, kinds, verdicts = 0, 0, set(), set()
     for ws, m, d in cases:
         reason, explored, feasible = _differential(ws, m, d)
         if oracle_limit is not None and ws.q ** (m * (len(ws.prefixes) - 1)) <= oracle_limit:
             assert _oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+            oracle += 1
         nodes += explored
         if reason is not None:
             kinds.add(reason[0])
         verdicts.add(feasible)
-    return {"nodes": nodes, "kinds": kinds, "feasible": verdicts}
+    return {"nodes": nodes, "oracle": oracle, "kinds": kinds, "feasible": verdicts}
 
 
 def _distinct(q, ks, rs, ms, d_from=1, d_below=1):
@@ -282,17 +292,17 @@ def _distinct(q, ks, rs, ms, d_from=1, d_below=1):
 
 
 def _weight1_cases():
-    """Every set of up to three weight-<=1 prefixes for q in (2, 3) and k in (1, 2); every m < 3 and d < 4."""
-    for q, k in product((2, 3), (1, 2)):
+    """Every set of up to three weight-<=1 prefixes for q in (2, 3) and k <= 3; every m <= 3 and d <= 4."""
+    for q, k in product((2, 3), (1, 2, 3)):
         singles = [Word(tuple(s * (j == i) for j in range(k)), q) for i in range(k) for s in range(1, q)]
         for extra in chain.from_iterable(combinations(singles, n) for n in range(3)):
             ws = WitnessSet((Word((0,) * k, q),) + extra)
-            yield from ((ws, m, d) for m in range(3) for d in range(1, 4))
+            yield from ((ws, m, d) for m in range(4) for d in range(1, 5))
 
 
 # id: (cases, the oracle's limit on q**(m * (r - 1)) or None, the summary items pinned)
 _GRIDS = {
-    "weight1": (_weight1_cases, 2**12, {}),
+    "weight1": (_weight1_cases, 2**12, {"oracle": 800}),
     # q >= 3 and r >= 4 make the precedence bound bind at words 2 and beyond;
     # d >= m + k is left out because there the oracle mostly enumerates
     # everything to confirm a 0-node pre-check refutation
