@@ -6,9 +6,9 @@ every pair of full words reaches distance at least d.  The zero prefix
 always receives the zero tail: translating all words by the zero-prefix
 word preserves prefixes and pairwise distances, so this loses no
 feasibility.  A pre-check refutes what one counting inequality rules
-out; a DFS decides the rest, always with its symmetry reductions.  The
-reference searches that check it are not part of the package: they
-live in tests/reference.py and share no code with it.
+out; over at least as many symbols as prefixes it decides the rest, and
+otherwise a DFS does, always with its symmetry reductions.  The tests'
+reference searches live in tests/reference.py and share no code with it.
 
 Search order is fully pinned (words in the given prefix order, tail
 columns left to right, symbols increasing), so outcomes, node counts and
@@ -149,14 +149,6 @@ def _backtrack(
 
     Words are assigned in table order; within a word, tail columns are
     filled left to right with symbols tried in increasing order.
-
-    q is the alphabet the search runs over.  tail_search passes
-    min(q, r), which gives the same nodes and tails as q itself: the
-    rows above word i, at most r - 1, leave in each column a symbol no
-    row holds.  It is never blocked, so no column is wiped out; a column
-    forced to it agrees with no row, so the forcing prunes nothing; it
-    adds 0 to the pigeonhole count's column minimum; and precedence
-    (below) tries no symbol above r - 1.
 
     Cells are bits: bit c * q + s stands for symbol s in tail column c,
     and rowmask[j], the only record of row j's placed cells, is low
@@ -479,13 +471,16 @@ def _start(
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d.
 
-    Runs the pre-check, then the DFS, and re-checks any witness.
-    node_limit caps the DFS's attempted symbol placements; the pre-check
-    explores no nodes, so no limit can cut it short.  The pre-check's
-    table grows as the square of the prefixes and the DFS's masks and
-    the witness with the r * m tail symbols, so both are guarded first.
-    No width grows with q: in the one-hot words and in the DFS, over
-    min(q, r) symbols, a position takes at most r symbols (see _backtrack).
+    Runs the pre-check, then the DFS if q < r, and re-checks any witness.
+    node_limit caps the DFS's attempted symbol placements, the only nodes
+    counted.  The pre-check's table grows as the square of the prefixes
+    and the DFS's masks and the witness with the r * m tail symbols, so
+    both are guarded first.  No one-hot position takes more than r symbols.
+
+    With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
+    and each pair ends at pd + m >= d, as an open case has no negative
+    slack.  Nor can the average or parity form refute one: each need
+    term is at most t, so need <= t * r(r-1)/2, the capacity.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -500,7 +495,10 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     slack, reason = _precheck(prefixes, ws.q, m, d)
     if reason is not None:
         return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    tails, nodes, exhausted = _backtrack(slack, min(ws.q, r), m, node_limit)
+    if ws.q >= r:
+        tails, nodes, exhausted = [[i] * m for i in range(r)], 0, True
+    else:
+        tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))

@@ -218,8 +218,8 @@ def test_verify_large_alphabet(cli_env, argv):
 
 @pytest.mark.parametrize("q", [10**6, 10**9])
 def test_search_tail_large_alphabet(cli_env, tmp_path, q):
-    # the DFS runs over r = 2 symbols, not q, so masks and per-node work
-    # stay small
+    # two prefixes over q >= 2 symbols: no search runs, and each word gets
+    # its own symbol in every tail column
     path = tmp_path / "pair.txt"
     path.write_text(f"{q} 1\n0\n1\n", encoding="utf-8")
     argv = ["search-tail", "--d", "2", "--tail-len", "10", "--prefixes", str(path)]
@@ -228,8 +228,8 @@ def test_search_tail_large_alphabet(cli_env, tmp_path, q):
     assert json.loads(proc.stdout) == {
         "feasible": True,
         "exhausted": True,
-        "nodes_explored": 20,
-        "witness": [" ".join("0" * 11), " ".join("11" + "0" * 9)],
+        "nodes_explored": 0,
+        "witness": [" ".join("0" * 11), " ".join("1" * 11)],
     }
 
 

@@ -232,9 +232,10 @@ def _differential(ws, m, d):
 
     tail_search, the DFS alone and unreduced_dfs all exhaust and agree on
     feasibility, and a refutation costs the DFS no more nodes than the
-    reference.  A pre-check refutation is one the DFS makes too; where
+    reference.  A pre-check refutation is one the DFS makes too.  Where
     the pre-check leaves the search open, tail_search's nodes and witness
-    are the DFS's.  Cached, so a case that several grids share runs once.
+    are the DFS's if q < r; if q >= r it takes 0 nodes and word i gets the
+    tail (i, ..., i).  Cached, so a case that several grids share runs once.
     """
     prefixes = [w.symbols for w in ws.prefixes]
     reason = _precheck(prefixes, ws.q, m, d)[1]
@@ -248,6 +249,10 @@ def _differential(ws, m, d):
     assert feasible or nodes <= plain[1], case
     if reason is not None:
         assert not feasible and out.nodes_explored == 0, case
+    elif ws.q >= len(prefixes):
+        assert feasible and out.nodes_explored == 0, case
+        words = sorted(p + (i,) * m for i, p in enumerate(prefixes))
+        assert [w.symbols for w in out.witness] == words, case
     else:
         words = sorted(p + tuple(t) for p, t in zip(prefixes, tails)) if feasible else []
         assert out.nodes_explored == nodes, case
@@ -385,6 +390,14 @@ def _draw_precheck(rng):
     return ws, m, rng.randint(1, m + k)
 
 
+def _draw_alphabet(rng):
+    # r from 1 to q + 1, so q = r - 1, q = r and q = r + 1 all occur
+    q, k = rng.randint(2, 6), rng.randint(1, 3)
+    ws = _sample_witness_set(rng, q, k, 1, q + 1)
+    m = rng.randint(0, 4)
+    return ws, m, rng.randint(1, m + k)
+
+
 @pytest.mark.parametrize(
     "draw, seed, count, oracle_limit",
     [
@@ -395,8 +408,12 @@ def _draw_precheck(rng):
         (_draw_pigeonhole, 59, 400, 2**12),
         (_draw_budget, 83, 300, None),
         (_draw_precheck, 67, 400, 2**10),
+        (_draw_alphabet, 43, 400, 2**12),
     ],
-    ids=["oracle-59", "engine-101", "engine-7", "pigeonhole-59", "budget-83", "precheck-67"],
+    ids=[
+        "oracle-59", "engine-101", "engine-7", "pigeonhole-59", "budget-83", "precheck-67",
+        "alphabet-43",
+    ],
 )
 def test_differential_random(draw, seed, count, oracle_limit):
     rng = random.Random(seed)
@@ -505,37 +522,6 @@ def test_one_hot_distances_match_the_zip_definition():
         # the table may stop at its first row with a negative slack
         want = [[m - d + dist[a, b] for b in words[:i]] for i, a in enumerate(words)]
         assert slack == want[: len(slack)], (words, m, d)
-
-
-def test_outcome_does_not_depend_on_q_past_r():
-    # tail_search runs the DFS over min(q, r) symbols; over the whole
-    # alphabet the DFS must give the same nodes and tails at every q >= r,
-    # and tail_search the same outcome (from q = 3, as the prefixes use
-    # symbols below 3).  With q >= r a word can differ from every other in
-    # every column, so each search the pre-check leaves open is feasible,
-    # and the nodes and witness are what can differ
-    rng = random.Random(41)
-    for _ in range(400):
-        k = rng.randint(1, 3)
-        pool = list(product(range(3), repeat=k))
-        others = rng.sample(pool[1:], rng.randint(1, min(4, len(pool) - 1)))
-        prefixes = [pool[0]] + others
-        r = len(prefixes)
-        m = rng.randint(1, 5)
-        d = rng.randint(1, m + k)
-        # the slack table does not depend on q, nor the pre-check's verdict at q >= max(r, 3)
-        slack, reason = _precheck(prefixes, max(r, 3), m, d)
-        want = _backtrack(slack, r, m, None)
-        tails, nodes, _ = want
-        words = [] if tails is None else sorted(p + tuple(t) for p, t in zip(prefixes, tails))
-        for q in range(r, 13):
-            assert _backtrack(slack, q, m, None) == want, (prefixes, m, d, q)
-            if q < 3:
-                continue
-            out = tail_search(WitnessSet(Word(p, q) for p in prefixes), m, d)
-            if reason is None:
-                assert out.nodes_explored == nodes, (prefixes, m, d, q)
-                assert [w.symbols for w in out.witness or ()] == words, (prefixes, m, d, q)
 
 
 def test_monotone_in_m():
