@@ -111,6 +111,10 @@ def _precheck(
     every word keeps the prefixes and adds 1 to each odd distance, so a
     solution at (m, d) gives one at (m + 1, d + 1), where every slack
     is the same.  Refuting that search refutes this one.
+
+    With q >= r neither sum can refute, so the table is all it builds:
+    each need term is at most t, and a column of r distinct symbols
+    holds all r(r-1)/2 pairs, so need <= t * r(r-1)/2, the capacity.
     """
     slack: list[list[int]] = []
     # slack = k - (prefix agreements) + m - d
@@ -122,6 +126,8 @@ def _precheck(
         if row and min(row) < 0:
             return slack, ("pair", row.index(min(row)), i)
     r = len(prefixes)
+    if q >= r:
+        return slack, None
     a, b = divmod(r, q)
     column = (r * (r - 1) - b * (a + 1) * a - (q - b) * a * (a - 1)) // 2
     for t in (m, m + 1) if q == 2 and d % 2 else (m,):
@@ -156,10 +162,11 @@ def _backtrack(
     c, w is word i's cells before c: rowmask[i] less its bit in column
     c, the cell's symbol on a revisit.  An accepted placement writes w
     plus its bit to rowmask[i], an exhausted cell w, so a word backed
-    out of is 0.  Words i and j may agree in at most slack[i][j] tail
-    columns, and word i has used popcount(w & rowmask[j]) of them.  A
-    placement that agrees with a word whose budget is spent is pruned;
-    exactly, as every other open column can still disagree with it.
+    out of is 0, and the tails are read off rowmask once, after the
+    loop.  Words i and j may agree in at most slack[i][j] tail columns,
+    and word i has used popcount(w & rowmask[j]) of them.  A placement
+    that agrees with a word whose budget is spent is pruned; exactly, as
+    every other open column can still disagree with it.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
     budget1, budget2, planes, table).  mask is the blocked-symbol mask,
@@ -189,7 +196,6 @@ def _backtrack(
     (i, c) it holds only rows above i, in increasing order, the zero
     word in every column from the start: rows are filled in order, so an
     accepted placement appends i, and a revisit pops it, the last entry.
-    The tails are read off it once, after the loop.
 
     Two symmetry reductions apply.  Value precedence: the symbol of
     word i in tail column c is at most 1 + the largest above it, so a
@@ -232,24 +238,25 @@ def _backtrack(
     than the i*m cells above it, and wide searches stay on the pairwise
     budget alone.
 
-    Unit propagation (_propagate) forward-checks a placement whose spent
-    budgets add bits to the mask, in rounds over the open columns
-    c' > c.  A column with no free symbol (none whose bit is unset)
-    prunes the placement.  A column with exactly one is forced: its
-    cell joins word i's cells and the column closes.  A row that agrees
-    with a forced cell and is then over its slack prunes the placement;
-    one at its slack blocks its symbols in the open columns.  The rounds
-    end when one forces nothing.  Soundness: a row whose budget is spent
-    can agree with word i in no further column, a pair whose shared
-    budget is spent can share no further column with word i, and all q
-    symbols count, precedence or not, so every tail of word i through
-    this placement puts the forced symbol in each forced column.  The
-    forced agreements are thus real, and a prune removes only subtrees
-    that hold no solution: as with triple, every outcome and witness
-    stays the same.  Three-word budgets enter only through the mask
-    bits; forced cells are checked against the pairwise budgets alone.
-    The propagated bits are not kept: a row that a forced cell brings
-    to its slack blocks that cell's own symbol.
+    Unit propagation, the block of the symbol loop after the budgets,
+    forward-checks a placement whose spent budgets add bits to the mask,
+    in rounds over the open columns c' > c.  A column with no free
+    symbol (none whose bit is unset) sets cut, which prunes the
+    placement.  A column with exactly one is forced: its cell joins word
+    i's cells and the column closes.  A row that agrees with a forced
+    cell and is then over its slack sets cut too; one at its slack
+    blocks its symbols in the open columns.  The rounds end when one
+    forces nothing.  Soundness: a row whose budget is spent can agree
+    with word i in no further column, a pair whose shared budget is
+    spent can share no further column with word i, and all q symbols
+    count, precedence or not, so every tail of word i through this
+    placement puts the forced symbol in each forced column.  The forced
+    agreements are thus real, and a prune removes only subtrees that
+    hold no solution: as with triple, every outcome and witness stays
+    the same.  Three-word budgets enter only through the mask bits;
+    forced cells are checked against the pairwise budgets alone.  The
+    propagated bits are not kept: a row that a forced cell brings to its
+    slack blocks that cell's own symbol.
 
     A pigeonhole count then checks the rows near their slack together.
     Let b_j be row j's budget left after this placement, and R the rows
@@ -269,26 +276,26 @@ def _backtrack(
     cell, less the column just placed.  The column wipe-out is the
     count's budget-0 case: the rows with b_j = 0 hold only blocked
     cells, so a column whose free cells all lie in their plane has none,
-    and a budget sum of 0 prunes it.  _propagate finds those columns in
-    the pass that also finds the forced ones, and again after each round
-    of forcing, so the count keeps no plane for them.
+    and a budget sum of 0 prunes it.  The propagation finds those
+    columns in the pass that also finds the forced ones, and again after
+    each round of forcing, so the count keeps no plane for them.
 
     Every attempted symbol placement counts as one node, pruned or not,
-    by the mask, the propagation, the count or the next word's start.  A
-    mask prune is one bit test.  A placement that passes it takes a
-    popcount per agreeing row whose slack is at most c + 3, as only
-    those can have 3 or fewer agreements left after c cells, and per
-    agreeing pair whose budget is at most reach = c + 1.  The
-    propagation runs only on placements that spend a budget: a round is
-    about 5q shifts, ANDs and ORs of an m*q-bit integer, plus a popcount
-    per row that agrees with a cell it forces and whose slack is at most
-    the decided columns (no other row can be at its slack).  The count
-    is about 3q + 7 such operations on the 6*m*q-bit planes, two of them
-    popcounts; a row joining a set costs five.  A checked placement
-    builds the open-column mask once for both checks, not every cell,
-    which would shift m*q bits per node, and the count builds its column
-    masks on each call, as a table of them per column would hold
-    6*m*m*q bits.
+    by the mask, the propagation, the count or the next word's start,
+    each a continue in the symbol loop.  A mask prune is one bit test.
+    A placement that passes it takes a popcount per agreeing row whose
+    slack is at most c + 3, as only those can have 3 or fewer agreements
+    left after c cells, and per agreeing pair whose budget is at most
+    reach = c + 1.  The propagation block runs only on placements that
+    spend a budget: a round is about 5q shifts, ANDs and ORs of an
+    m*q-bit integer, plus a popcount per row that agrees with a cell it
+    forces and whose slack is at most the decided columns (no other row
+    can be at its slack).  The count is about 3q + 7 such operations on
+    the 6*m*q-bit planes, two of them popcounts; a row joining a set
+    costs five.  A checked placement builds the open-column mask once
+    for both checks, not every cell, which would shift m*q bits per
+    node, and the count builds its column masks on each call, as a table
+    of them per column would hold 6*m*m*q bits.
     """
     r = len(slack)
     if any(row and min(row) < 0 for row in slack):
@@ -363,10 +370,36 @@ def _backtrack(
             moved = after != mask or left1 != budget1 or left2 != budget2
             if moved:
                 opened = low >> reach * q << reach * q
-                if after != mask and not _propagate(
-                    after, w | 1 << c * q + s, opened, reach, q, slack_i, rowmask
-                ):
-                    continue
+                if after != mask:
+                    # unit propagation, in rounds over the open columns still unforced
+                    blocked, cells, todo, decided = after, w | 1 << c * q + s, opened, reach
+                    cut = False
+                    while todo and not cut:
+                        # the columns with at least one free symbol, and with at least two
+                        free = ~blocked
+                        some = free & todo
+                        two = 0
+                        for t in range(1, q):
+                            x = free >> t & todo
+                            two |= some & x
+                            some |= x
+                        one = some ^ two
+                        cut = some != todo
+                        if cut or not one:
+                            break
+                        todo ^= one
+                        decided += one.bit_count()
+                        forced = free & one * fill
+                        cells |= forced
+                        for j, x in enumerate(slack_i):
+                            if x <= decided and forced & (row := rowmask[j]):
+                                if (u := x - (cells & row).bit_count()) < 0:
+                                    cut = True
+                                    break
+                                if not u:
+                                    blocked |= row
+                    if cut:
+                        continue
                 # the open columns of each plane in which every free cell lies in the plane
                 head = opened * rep
                 x = head * fill & ~(after * rep | plane)
@@ -391,48 +424,8 @@ def _backtrack(
             p -= 1
             if p < 0:
                 return None, nodes, True
-    tails = [[0] * m for _ in range(r)]
-    for c, col in enumerate(holders):
-        for s, rows in enumerate(col):
-            for j in rows:
-                tails[j][c] = s
+    tails = [[(row >> c * q & fill).bit_length() - 1 for c in range(m)] for row in rowmask]
     return tails, nodes, True
-
-
-def _propagate(
-    mask: int, cells: int, opened: int, decided: int, q: int, slack_i: list[int], rowmask: list[int]
-) -> bool:
-    """Unit propagation over word i's open columns (see _backtrack); False prunes.
-
-    mask is the placement's mask, cells word i's cells with it, opened
-    the low bit of every open column, and decided the columns placed.
-    """
-    while opened:
-        # the open columns with at least one free symbol, and with at least two
-        free = ~mask
-        some = free & opened
-        two = 0
-        for t in range(1, q):
-            x = free >> t & opened
-            two |= some & x
-            some |= x
-        if some != opened:
-            return False
-        one = some ^ two
-        if not one:
-            break
-        opened ^= one
-        decided += one.bit_count()
-        forced = free & one * ((1 << q) - 1)
-        cells |= forced
-        for j, x in enumerate(slack_i):
-            if x <= decided and forced & (row := rowmask[j]):
-                u = x - (cells & row).bit_count()
-                if u < 0:
-                    return False
-                if not u:
-                    mask |= row
-    return True
 
 
 def _start(
@@ -479,8 +472,7 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
 
     With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
     and each pair ends at pd + m >= d, as an open case has no negative
-    slack.  Nor can the average or parity form refute one: each need
-    term is at most t, so need <= t * r(r-1)/2, the capacity.
+    slack, the only reason the pre-check then tests.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")

@@ -1,0 +1,145 @@
+"""Planted faults that the suite must catch, and their runner.
+
+Each entry of MUTANTS is (file under src/, exact old text, new text, test
+ids, why).  For each entry the runner copies src/ to a temporary
+directory, replaces the old text, which must occur exactly once, and runs
+the named tests against the copy with -x and a timeout.  The entry is
+caught when a named test fails; a run whose tests all pass lets the
+mutant survive.  The runner exits 1 if any entry survives, times out,
+does not apply, or ends its run some other way, e.g. with an import error
+or an unknown test id.  A refactor that removes an entry's old text fails
+the runner: rewrite that entry against the new code, or retire it and
+say why.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+The file name does not match test_*.py, so pytest does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+SEARCH = "griesmer/search.py"
+
+MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
+    (
+        SEARCH,
+        "        else:\n            rowmask[i] = w\n            p -= 1\n",
+        "        else:\n            p -= 1\n",
+        ("tests/test_search.py::test_differential_grid[weight1]",),
+        "a word backed out of keeps its cells, so the rows below it see stale budgets",
+    ),
+    (
+        SEARCH,
+        "                if not e:\n                    mask |= both\n",
+        "",
+        ("tests/test_search.py::test_differential_grid[budget-q2-k3-r6-m5]",),
+        "a three-word budget that starts at 0 no longer blocks its cells: looser, "
+        "caught by the grid's pinned node total",
+    ),
+    (
+        SEARCH,
+        "                                    blocked |= row\n                    if cut:\n",
+        "                                    blocked |= row\n"
+        "                        break\n"
+        "                    if cut:\n",
+        ("tests/test_search.py::test_differential_grid[propagation-q3-k2-r6-m4]",),
+        "propagation stops after its first round: looser, caught by the grid's pinned node total",
+    ),
+    (
+        SEARCH,
+        "                                if not u:\n                                    blocked |= row\n",
+        "",
+        ("tests/test_search.py::test_differential_grid[propagation-q3-k2-r6-m4]",),
+        "a row that a forced cell brings to its slack no longer blocks its symbols: looser, "
+        "caught by the grid's pinned node total",
+    ),
+    (
+        SEARCH,
+        "                        cut = some != todo\n",
+        "                        cut = two != todo\n",
+        ("tests/test_search.py::test_differential_grid[weight1]",),
+        "the wipe-out also fires on columns with one free symbol, which propagation must force: "
+        "unsound",
+    ),
+    (
+        SEARCH,
+        "(cells & row).bit_count()) < 0:",
+        "(cells & row).bit_count()) <= 0:",
+        ("tests/test_search.py::test_differential_grid[propagation-q3-k2-r6-m4]",),
+        "a forced agreement that only spends a row's budget prunes as if it overdrew it: unsound",
+    ),
+    (
+        SEARCH,
+        "(row >> c * q & fill).bit_length() - 1",
+        "(row >> c & fill).bit_length() - 1",
+        ("tests/test_search.py::test_three_prefix_instance_m3_feasible",),
+        "the tails are read off rowmask at the wrong shift, so the witness is not the one found",
+    ),
+    (
+        SEARCH,
+        "    if q >= r:\n        return slack, None\n",
+        "    return slack, None\n",
+        ("tests/test_search.py::test_precheck_pinned_need_and_capacity",),
+        "the pre-check stops after the pair rows at every q and loses its averaging refutations",
+    ),
+    (
+        SEARCH,
+        "        if r >= 2 and min_distance(witness) < d:\n",
+        "        if False:\n",
+        ("tests/test_search.py::test_witness_recheck_catches_a_faulty_dfs",),
+        "no min_distance re-check: a wrong witness from the DFS would be reported as feasible",
+    ),
+]
+
+
+def run(entry: tuple[str, str, str, tuple[str, ...], str], scratch: Path) -> str:
+    """Apply one entry to a copy of src/ under scratch and run its tests; return the result."""
+    path, old, new, tests, _ = entry
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / path
+    text = target.read_text(encoding="utf-8")
+    if (count := text.count(old)) != 1:
+        return f"old text occurs {count} times in {path}"
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    argv += ["-o", f"pythonpath={src}", *tests]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
+    # pytest exits 1 when a test failed; 0 means every named test passed
+    if done.returncode == 1:
+        return "caught"
+    if done.returncode == 0:
+        return "survived"
+    tail = done.stdout.decode(errors="replace").strip().splitlines()[-1:]
+    return f"pytest exited {done.returncode}: {' '.join(tail)}"
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, entry in enumerate(MUTANTS, 1):
+            start = time.perf_counter()
+            result = run(entry, Path(tmp))
+            bad += result != "caught"
+            print(f"[{n}] {result} ({time.perf_counter() - start:.1f} s): {entry[4]}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
