@@ -5,10 +5,11 @@ engine decides whether tails of a given length can be attached so that
 every pair of full words reaches distance at least d.  The zero prefix
 always receives the zero tail: translating all words by the zero-prefix
 word preserves prefixes and pairwise distances, so this loses no
-feasibility.  A pre-check refutes what one counting inequality rules
-out; over at least as many symbols as prefixes it decides the rest, and
-otherwise a DFS does, always with its symmetry reductions.  The tests'
-reference searches live in tests/reference.py and share no code with it.
+feasibility.  Over at least as many symbols as prefixes the prefixes'
+minimum distance decides the search.  Otherwise a pre-check refutes what
+one counting inequality rules out, and a DFS decides the rest, always
+with its symmetry reductions.  The tests' reference searches live in
+tests/reference.py and share no code with it.
 
 Search order is fully pinned (words in the given prefix order, tail
 columns left to right, symbols increasing), so outcomes, node counts and
@@ -111,10 +112,6 @@ def _precheck(
     every word keeps the prefixes and adds 1 to each odd distance, so a
     solution at (m, d) gives one at (m + 1, d + 1), where every slack
     is the same.  Refuting that search refutes this one.
-
-    With q >= r neither sum can refute, so the table is all it builds:
-    each need term is at most t, and a column of r distinct symbols
-    holds all r(r-1)/2 pairs, so need <= t * r(r-1)/2, the capacity.
     """
     slack: list[list[int]] = []
     # slack = k - (prefix agreements) + m - d
@@ -126,8 +123,6 @@ def _precheck(
         if row and min(row) < 0:
             return slack, ("pair", row.index(min(row)), i)
     r = len(prefixes)
-    if q >= r:
-        return slack, None
     a, b = divmod(r, q)
     column = (r * (r - 1) - b * (a + 1) * a - (q - b) * a * (a - 1)) // 2
     for t in (m, m + 1) if q == 2 and d % 2 else (m,):
@@ -464,15 +459,17 @@ def _start(
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d.
 
-    Runs the pre-check, then the DFS if q < r, and re-checks any witness.
+    With q < r it runs the pre-check, then the DFS; with q >= r it
+    decides from the prefixes' minimum distance.  It re-checks any witness.
     node_limit caps the DFS's attempted symbol placements, the only nodes
-    counted.  The pre-check's table grows as the square of the prefixes
-    and the DFS's masks and the witness with the r * m tail symbols, so
-    both are guarded first.  No one-hot position takes more than r symbols.
+    counted.  The pair checks grow as the square of the prefixes and the
+    DFS's masks and the witness with the r * m tail symbols, so both are
+    guarded first.  No one-hot position takes more than r symbols.
 
     With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
-    and each pair ends at pd + m >= d, as an open case has no negative
-    slack, the only reason the pre-check then tests.
+    and each pair then ends at pd + m, the most any tails give it.  So
+    the search is feasible exactly when the prefixes' minimum distance
+    plus m reaches d, and no node is explored.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -484,13 +481,13 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     guard_terms(r, "the search has {} prefixes", FULL_SEARCH_PREFIX_LIMIT)
     guard_terms(r * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
-    slack, reason = _precheck(prefixes, ws.q, m, d)
-    if reason is not None:
-        return SearchOutcome(witness=None, nodes_explored=0, exhausted=True)
-    if ws.q >= r:
-        tails, nodes, exhausted = [[i] * m for i in range(r)], 0, True
-    else:
-        tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
+    tails, nodes, exhausted = None, 0, True
+    if ws.q < r:
+        slack, reason = _precheck(prefixes, ws.q, m, d)
+        if reason is None:
+            tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
+    elif r < 2 or min_distance(Code(ws.prefixes)) + m >= d:
+        tails = [[i] * m for i in range(r)]
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))

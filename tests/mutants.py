@@ -87,10 +87,68 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "    if q >= r:\n        return slack, None\n",
-        "    return slack, None\n",
-        ("tests/test_search.py::test_precheck_pinned_need_and_capacity",),
-        "the pre-check stops after the pair rows at every q and loses its averaging refutations",
+        "                if not x:\n                    mask |= held\n",
+        "                mask |= held\n",
+        ("tests/test_search.py::test_differential_random[pigeonhole-59]",),
+        "a word's start state also blocks the cells of rows with one agreement left: unsound",
+    ),
+    (
+        SEARCH,
+        "(full & first).bit_count() > left1:",
+        "(full & first).bit_count() >= left1:",
+        ("tests/test_search.py::test_differential_random[pigeonhole-59]",),
+        "the pigeonhole count prunes when the forced agreements only use up the budgets: unsound",
+    ),
+    (
+        SEARCH,
+        "                if e < 0:\n",
+        "                if e <= 0:\n",
+        ("tests/test_search.py::test_differential_random[budget-83]",),
+        "a three-word budget that starts at 0 rejects the word instead of blocking its cells: "
+        "unsound",
+    ),
+    (
+        SEARCH,
+        "while hi > 1 and not col[hi - 1]:",
+        "while hi > 1 and not col[hi]:",
+        ("tests/test_search.py::test_differential_grid[precedence-q3-k2-r4-m3]",),
+        "the precedence bound stops one symbol short of 1 + the largest above: unsound",
+    ),
+    (
+        SEARCH,
+        "            hi = x\n",
+        "            hi = x - 1\n",
+        ("tests/test_search.py::test_differential_random[budget-83]",),
+        "the first nonzero word's tail must strictly decrease: unsound",
+    ),
+    (
+        SEARCH,
+        "opened = low >> reach * q << reach * q",
+        "opened = low >> c * q << c * q",
+        ("tests/test_search.py::test_differential_grid[weight1]",),
+        "the propagation and the count also treat the column just placed as open, where a "
+        "budget it spends can block the placed symbol itself: unsound",
+    ),
+    (
+        SEARCH,
+        "        tails = [[i] * m for i in range(r)]\n",
+        "        tails = [[0] * m for i in range(r)]\n",
+        ("tests/test_search.py::test_differential_random[alphabet-43]",),
+        "at q >= r every word gets the zero tail, and the re-check rejects the witness",
+    ),
+    (
+        SEARCH,
+        "    if ws.q < r:\n",
+        "    if ws.q < r - 1:\n",
+        ("tests/test_search.py::test_differential_random[alphabet-43]",),
+        "the construction also runs at q = r - 1, where word r - 1's tail symbol does not exist",
+    ),
+    (
+        SEARCH,
+        "+ m >= d:\n",
+        "+ m > d:\n",
+        ("tests/test_search.py::test_differential_random[alphabet-43]",),
+        "at q >= r a minimum distance plus m equal to d refutes: unsound",
     ),
     (
         SEARCH,

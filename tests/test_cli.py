@@ -302,7 +302,7 @@ def test_verify_node_limit_cannot_cut_a_precheck_refutation_short(capsys):
 
 
 def test_verify_exit_2_when_a_search_is_cut_short(monkeypatch, capsys):
-    # the pre-check refutes every catalogue case with 0 nodes, so no node
+    # every catalogue case is refuted with 0 nodes, so no node
     # limit binds there; a search that stops unexhausted stands in for one
     monkeypatch.setattr("griesmer.theorems.tail_search", lambda *args: SearchOutcome(None, 7, False))
     argv = ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", "3", "--format", "json"]

@@ -125,6 +125,20 @@ def test_dfs_with_no_cell(r, m):
         assert _backtrack(slack, 2, m, limit) == ([[0] * m for _ in range(r)], 0, True)
 
 
+def test_q_at_least_r_skips_the_precheck(monkeypatch):
+    # with at least as many symbols as prefixes the minimum distance decides, with no slack table
+    def precheck(*args):
+        raise AssertionError("the pre-check ran with q >= r")
+
+    monkeypatch.setattr("griesmer.search._precheck", precheck)
+    out = tail_search(_ws(3, ["00", "11", "22"]), 2, 3)
+    assert out.feasible and out.exhausted and out.nodes_explored == 0
+    assert out.to_dict()["witness"] == ["0000", "1111", "2222"]
+    # the pair 0, 1 ends at distance 1 whatever the tails
+    out = tail_search(_ws(3, ["0", "1"]), 0, 2)
+    assert not out.feasible and out.exhausted and out.nodes_explored == 0
+
+
 def test_witness_keeps_zero_tail_on_zero_prefix():
     out = tail_search(_ws(3, ["00", "11", "22"]), 2, 3)
     assert out.feasible

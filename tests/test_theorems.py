@@ -53,7 +53,7 @@ def test_case_embedding_pads_leading_zeros():
 
 
 def _assert_pigeonhole_refutation(verdict):
-    # {0, e_k} is at distance 1 and 1 + m < d: refuted by the pair pre-check
+    # {0, e_k} is at distance 1 and 1 + m < d: refuted by the pair's minimum distance
     assert verdict.confirmed
     assert verdict.outcome.nodes_explored == 0
     # cross-check against an exhaustive search over all q**k prefixes
@@ -169,7 +169,7 @@ def test_verdict_serialization():
 
 
 def test_node_limited_verify_is_never_confirmed():
-    # the pre-check settles every catalogue case, so a node limit cannot cut one short
+    # every catalogue case is refuted with 0 nodes, so a node limit cannot cut one short
     confirmed = verify("d56_k3", 2, 5, 3, node_limit=10)
     assert confirmed.confirmed
     # an aborted search, here one the pre-check leaves to the DFS, never confirms
