@@ -5,11 +5,12 @@ engine decides whether tails of a given length can be attached so that
 every pair of full words reaches distance at least d.  The zero prefix
 always receives the zero tail: translating all words by the zero-prefix
 word preserves prefixes and pairwise distances, so this loses no
-feasibility.  Over at least as many symbols as prefixes the prefixes'
-minimum distance decides the search.  Otherwise a pre-check refutes what
-one counting inequality rules out, and a DFS decides the rest, always
-with its symmetry reductions.  The tests' reference searches live in
-tests/reference.py and share no code with it.
+feasibility.  A pair of prefixes that no tails can separate refutes the
+search at once.  Otherwise, over at least as many symbols as prefixes,
+tails that disagree everywhere solve it; over fewer, a pre-check refutes
+what one counting inequality rules out, and a DFS decides the rest,
+always with its symmetry reductions.  The tests' reference searches
+live in tests/reference.py and share no code with it.
 
 Search order is fully pinned (words in the given prefix order, tail
 columns left to right, symbols increasing), so outcomes, node counts and
@@ -95,10 +96,6 @@ def _precheck(
     slack[i][j], for j < i, holds that value.  Returns (slack, reason),
     where reason is None when the search stays open, or else:
 
-    ("pair", j, i): slack[i][j] < 0, so even tails that disagree
-    everywhere leave words i and j closer than d.  The table is built
-    row by row and ends at row i.
-
     ("average", need, capacity): Plotkin's averaging over the tail
     columns.  Pair (i, j) needs at least max(0, m - slack) tail columns
     in which it disagrees, so all pairs together need `need`
@@ -113,15 +110,13 @@ def _precheck(
     solution at (m, d) gives one at (m + 1, d + 1), where every slack
     is the same.  Refuting that search refutes this one.
     """
-    slack: list[list[int]] = []
     # slack = k - (prefix agreements) + m - d
     top = len(prefixes[0]) + m - d
     bits = one_hot(prefixes, q)
-    for i, p in enumerate(bits):
-        row = [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))]
-        slack.append(row)
-        if row and min(row) < 0:
-            return slack, ("pair", row.index(min(row)), i)
+    slack = [
+        [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))]
+        for i, p in enumerate(bits)
+    ]
     r = len(prefixes)
     a, b = divmod(r, q)
     column = (r * (r - 1) - b * (a + 1) * a - (q - b) * a * (a - 1)) // 2
@@ -144,9 +139,9 @@ def _backtrack(
     when node_limit aborted the run, as in SearchOutcome.
 
     slack is the table _precheck builds, one row per word; the search
-    only reads it, so a table serves any number of calls.  The search
-    alone decides every instance, so it cross-checks the pre-check: a
-    negative slack refutes with 0 nodes, as no tails separate that pair.
+    only reads it, so a table serves any number of calls.  Every slack
+    must be at least 0, as tail_search ensures: a negative one is a pair
+    that no tails separate, and the budgets below assume none.
 
     Words are assigned in table order; within a word, tail columns are
     filled left to right with symbols tried in increasing order.
@@ -293,8 +288,6 @@ def _backtrack(
     of them per column would hold 6*m*m*q bits.
     """
     r = len(slack)
-    if any(row and min(row) < 0 for row in slack):
-        return None, 0, True
     triple = q == 2 and r <= 2 * m
     holders = [[[0]] + [[] for _ in range(q - 1)] for _ in range(m)]
     low = sum(1 << c * q for c in range(m))
@@ -459,17 +452,18 @@ def _start(
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d.
 
-    With q < r it runs the pre-check, then the DFS; with q >= r it
-    decides from the prefixes' minimum distance.  It re-checks any witness.
+    A pair of prefixes at distance pd ends at distance at most pd + m,
+    so the search is refuted with no node when the prefixes' minimum
+    distance plus m is below d.  Otherwise, with q < r it runs the
+    pre-check, then the DFS.  It re-checks any witness.
     node_limit caps the DFS's attempted symbol placements, the only nodes
     counted.  The pair checks grow as the square of the prefixes and the
     DFS's masks and the witness with the r * m tail symbols, so both are
     guarded first.  No one-hot position takes more than r symbols.
 
     With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
-    and each pair then ends at pd + m, the most any tails give it.  So
-    the search is feasible exactly when the prefixes' minimum distance
-    plus m reaches d, and no node is explored.
+    and each pair then ends at pd + m, so every pair reaches d and no
+    node is explored.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -482,18 +476,17 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     guard_terms(r * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     tails, nodes, exhausted = None, 0, True
-    if ws.q < r:
-        slack, reason = _precheck(prefixes, ws.q, m, d)
-        if reason is None:
-            tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
-    elif r < 2 or min_distance(Code(ws.prefixes)) + m >= d:
-        tails = [[i] * m for i in range(r)]
+    if r < 2 or min_distance(Code(ws.prefixes)) + m >= d:
+        if ws.q >= r:
+            tails = [[i] * m for i in range(r)]
+        else:
+            slack, reason = _precheck(prefixes, ws.q, m, d)
+            if reason is None:
+                tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))
         # an independent re-check of the witness by the core operations
-        if {w.symbols[: ws.k] for w in witness} != set(prefixes):
-            raise RuntimeError("search produced a witness with wrong prefixes")
         if r >= 2 and min_distance(witness) < d:
             raise RuntimeError("search produced a witness violating the distance floor")
     return SearchOutcome(witness=witness, nodes_explored=nodes, exhausted=exhausted)

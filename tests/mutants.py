@@ -138,8 +138,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "    if ws.q < r:\n",
-        "    if ws.q < r - 1:\n",
+        "        if ws.q >= r:\n",
+        "        if ws.q >= r - 1:\n",
         ("tests/test_search.py::test_differential_random[alphabet-43]",),
         "the construction also runs at q = r - 1, where word r - 1's tail symbol does not exist",
     ),
@@ -148,7 +148,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
         "+ m >= d:\n",
         "+ m > d:\n",
         ("tests/test_search.py::test_differential_random[alphabet-43]",),
-        "at q >= r a minimum distance plus m equal to d refutes: unsound",
+        "a minimum distance plus m equal to d refutes: unsound",
+    ),
+    (
+        SEARCH,
+        "    if r < 2 or min_distance(",
+        "    if r < 2 or ws.q < r or min_distance(",
+        ("tests/test_search.py::test_differential_random[precheck-67]",),
+        "the pair rule runs only at q >= r, so the DFS meets a negative slack and the re-check "
+        "rejects its witness",
     ),
     (
         SEARCH,

@@ -37,8 +37,14 @@ def _all_prefixes(q, k):
 
 
 def _dfs(ws, m, d, node_limit=None):
-    """The DFS alone, on the pre-check's slack table but not its verdict."""
+    """The DFS alone, on the pre-check's slack table but not its verdict.
+
+    A negative slack is a pair that no tails separate, which the DFS
+    must not be given: it refutes here with 0 nodes, as in unreduced_dfs.
+    """
     slack, _ = _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)
+    if any(x < 0 for row in slack for x in row):
+        return None, 0, True
     return _backtrack(slack, ws.q, m, node_limit)
 
 
@@ -69,7 +75,7 @@ def test_witness_set_validation():
 
 
 def test_node_limit_validation():
-    # checked before the pre-check, which would refute each search here with 0 nodes
+    # checked before the pair rule and the pre-check, which would refute each search here with 0 nodes
     ws = _ws(2, ["00", "01"])
     params = CodeParams(q=2, n=4, k=2, d=3)
     for limit in (0, -5):
@@ -125,10 +131,11 @@ def test_dfs_with_no_cell(r, m):
         assert _backtrack(slack, 2, m, limit) == ([[0] * m for _ in range(r)], 0, True)
 
 
-def test_q_at_least_r_skips_the_precheck(monkeypatch):
-    # with at least as many symbols as prefixes the minimum distance decides, with no slack table
+def test_pair_rule_skips_the_precheck(monkeypatch):
+    # with at least as many symbols as prefixes the minimum distance decides,
+    # with no slack table; with fewer, a pair no tails separate refutes first
     def precheck(*args):
-        raise AssertionError("the pre-check ran with q >= r")
+        raise AssertionError("the pre-check ran")
 
     monkeypatch.setattr("griesmer.search._precheck", precheck)
     out = tail_search(_ws(3, ["00", "11", "22"]), 2, 3)
@@ -136,6 +143,9 @@ def test_q_at_least_r_skips_the_precheck(monkeypatch):
     assert out.to_dict()["witness"] == ["0000", "1111", "2222"]
     # the pair 0, 1 ends at distance 1 whatever the tails
     out = tail_search(_ws(3, ["0", "1"]), 0, 2)
+    assert not out.feasible and out.exhausted and out.nodes_explored == 0
+    # q < r: all 4,096 binary 12-bit prefixes hold pairs at distance 1
+    out = tail_search(_all_prefixes(2, 12), 0, 2)
     assert not out.feasible and out.exhausted and out.nodes_explored == 0
 
 
@@ -173,7 +183,7 @@ def test_node_limit_boundary(q, n, k, d):
     assert exhausted and n_free > 1
     assert _dfs(ws, n - k, d, node_limit=n_free) == free
     assert _dfs(ws, n - k, d, node_limit=n_free - 1) == (None, n_free - 1, False)
-    # a limit the DFS needs is enough for the outcome, which the pre-check may settle first
+    # a limit the DFS needs is enough for the outcome, which the pair rule or the pre-check may settle first
     out = full_search(CodeParams(q=q, n=n, k=k, d=d), node_limit=n_free)
     assert out.exhausted and out.feasible is (tails is not None)
     assert out.nodes_explored in (0, n_free)
@@ -242,17 +252,23 @@ def test_reference_searches_are_not_in_the_package():
 
 @functools.cache
 def _differential(ws, m, d):
-    """One search checked against the reference DFS; returns (pre-check reason, DFS nodes, feasible).
+    """One search checked against the reference DFS; returns (refutation reason, DFS nodes, feasible).
 
+    The reason is ("pair", pd + m, d) when the prefixes' minimum distance
+    pd plus m is below d, else the pre-check's if q < r, else None.
     tail_search, the DFS alone and unreduced_dfs all exhaust and agree on
     feasibility, and a refutation costs the DFS no more nodes than the
-    reference.  A pre-check refutation is one the DFS makes too.  Where
-    the pre-check leaves the search open, tail_search's nodes and witness
-    are the DFS's if q < r; if q >= r it takes 0 nodes and word i gets the
-    tail (i, ..., i).  Cached, so a case that several grids share runs once.
+    reference.  A refutation with a reason is one the DFS makes too.
+    Where no reason refutes, tail_search's nodes and witness are the
+    DFS's if q < r; if q >= r it takes 0 nodes and word i gets the tail
+    (i, ..., i).  Cached, so a case that several grids share runs once.
     """
     prefixes = [w.symbols for w in ws.prefixes]
-    reason = _precheck(prefixes, ws.q, m, d)[1]
+    pd = min((sum(x != y for x, y in zip(a, b)) for a, b in combinations(prefixes, 2)), default=d)
+    if pd + m < d:
+        reason = ("pair", pd + m, d)
+    else:
+        reason = _precheck(prefixes, ws.q, m, d)[1] if ws.q < len(prefixes) else None
     tails, nodes, exhausted = _dfs(ws, m, d)
     plain = unreduced_dfs(ws, m, d)
     out = tail_search(ws, m, d)
@@ -324,7 +340,7 @@ _GRIDS = {
     "weight1": (_weight1_cases, 2**12, {"oracle": 800}),
     # q >= 3 and r >= 4 make the precedence bound bind at words 2 and beyond;
     # d >= m + k is left out because there the oracle mostly enumerates
-    # everything to confirm a 0-node pre-check refutation
+    # everything to confirm a 0-node refutation
     "precedence-q3-k2-r4-m3": (lambda: _distinct(3, [2], [4], [3], d_from=2, d_below=0), 3**9, {}),
     "precedence-q3-k2-r5-m2": (lambda: _distinct(3, [2], [5], [2], d_from=2, d_below=0), 3**9, {}),
     "precedence-q4-k2-r4-m2": (lambda: _distinct(4, [2], [4], [2], d_from=2, d_below=0), 3**9, {}),
@@ -507,14 +523,6 @@ def test_precheck_leaves_feasible_controls_open(q, n, k, d):
     assert _precheck(prefixes, q, n - k, d)[1] is None
 
 
-def test_precheck_pair_refutation_stops_at_the_first_row():
-    # 4096 prefixes, but the pair (0, 1) is refuted as soon as row 1 is built
-    prefixes = list(product(range(2), repeat=12))
-    slack, reason = _precheck(prefixes, 2, 0, 2)
-    assert reason == ("pair", 0, 1)
-    assert slack == [[], [-1]]
-
-
 def test_one_hot_distances_match_the_zip_definition():
     # min_distance and the pre-check's slack table read distances as
     # popcounts of one-hot words; both must count the differing positions,
@@ -533,9 +541,8 @@ def test_one_hot_distances_match_the_zip_definition():
         assert min_distance(code) == min(dist[a, b] for a, b in combinations(words, 2))
         m, d = rng.randint(0, 4), rng.randint(1, 6)
         slack, _ = _precheck(words, q, m, d)
-        # the table may stop at its first row with a negative slack
         want = [[m - d + dist[a, b] for b in words[:i]] for i, a in enumerate(words)]
-        assert slack == want[: len(slack)], (words, m, d)
+        assert slack == want, (words, m, d)
 
 
 def test_monotone_in_m():
@@ -618,11 +625,18 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "223031330", "232132102", "303322312", "313233001", "322303120",
             "333010223",
         ]),
+        (5, 10, 2, 8, 10721, [
+            "0000000000", "0111111110", "0201222221", "0302133332", "0403314443",
+            "1001441344", "1110022333", "1211303402", "1312210024", "1414434211",
+            "2013043121", "2104204134", "2220011242", "2321124003", "2422242310",
+            "3020132424", "3122320141", "3230443013", "3333201301", "3444040432",
+            "4032414102", "4143342004", "4234330320", "4340223440", "4442101223",
+        ]),
     ],
     # ids name the instance, not its count, so a re-pin keeps the test's name
     ids=[
         "q2-n18-k4-d9", "q2-n9-k3-d5", "q3-n4-k2-d3", "q5-n7-k2-d6", "q3-n11-k2-d9",
-        "q3-n16-k3-d10", "q4-n7-k2-d5", "q4-n6-k2-d5", "q4-n9-k2-d7",
+        "q3-n16-k3-d10", "q4-n7-k2-d5", "q4-n6-k2-d5", "q4-n9-k2-d7", "q5-n10-k2-d8",
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, nodes, witness):

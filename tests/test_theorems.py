@@ -229,8 +229,8 @@ def test_verify_all_kmax8_extent():
 
 
 def test_dfs_alone_refutes_every_catalogue_case():
-    # the pre-check settles each case with 0 nodes; the DFS, which does not
-    # read the pre-check's verdict, must refute every one of them too
+    # the pair rule or the pre-check settles each case with 0 nodes; the DFS
+    # alone, which reads neither verdict, must refute every one of them too
     for verdict in verify_all(8):
         assert verdict.confirmed and verdict.outcome.nodes_explored == 0
         p = verdict.params
@@ -263,18 +263,23 @@ def _distances(ws):
 def test_k_independence_of_every_family(theorem_id, q, d):
     # a larger k only adds leading zeros to the prefixes, and the critical
     # tail length stays put once q**k >= d; the search reads the prefixes
-    # only through their distances, so every k gets the same search, which
-    # the pre-check refutes, and no node limit can cut a case short
+    # only through their distances, so every k gets the same search and
+    # the same refutation, and no node limit can cut a case short.  The
+    # two-prefix families are refuted by a pair no tails separate; every
+    # other family passes that rule and is refuted by the pre-check
     ks = _FAMILIES[theorem_id, q, d]
     witnesses = [witness_set_for(theorem_id, q, d, k) for k in ks]
     verdicts = [verify(theorem_id, q, d, k) for k in ks]
     assert len({_distances(ws) for ws in witnesses}) == 1
     assert len({_critical_m(v) for v in verdicts}) == 1
-    reasons = {
-        _precheck([w.symbols for w in ws.prefixes], q, _critical_m(v), d)[1]
-        for ws, v in zip(witnesses, verdicts)
-    }
-    assert len(reasons) == 1 and None not in reasons
+    m = _critical_m(verdicts[0])
+    pair = {min(_distances(ws)) + m < d for ws in witnesses}
+    if theorem_id in ("q_ge_d", "d12"):
+        assert pair == {True}
+    else:
+        assert pair == {False} and all(q < len(ws.prefixes) for ws in witnesses)
+        reasons = {_precheck([w.symbols for w in ws.prefixes], q, m, d)[1] for ws in witnesses}
+        assert len(reasons) == 1 and None not in reasons
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
     if (theorem_id, d) == ("d56_k3", 6):
