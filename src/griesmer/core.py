@@ -81,6 +81,8 @@ class Word(Record):
             parts = text.split()
             if not parts:
                 raise ValueError("empty word text")
+            if not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValueError(f"not a word of decimal symbols: {text!r}")
             symbols = tuple(int(p) for p in parts)
         return cls(symbols, q)
 

@@ -452,14 +452,15 @@ def _start(
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d.
 
-    A pair of prefixes at distance pd ends at distance at most pd + m,
-    so the search is refuted with no node when the prefixes' minimum
-    distance plus m is below d.  Otherwise, with q < r it runs the
-    pre-check, then the DFS.  It re-checks any witness.
-    node_limit caps the DFS's attempted symbol placements, the only nodes
-    counted.  The pair checks grow as the square of the prefixes and the
-    DFS's masks and the witness with the r * m tail symbols, so both are
-    guarded first.  No one-hot position takes more than r symbols.
+    A pair of prefixes at distance pd ends at distance at most pd + m, so
+    the search is refuted with no node when the prefixes' minimum distance
+    plus m is below d; distinct prefixes are at distance at least 1, so no
+    pair can block, and no distance is computed, when m + 1 >= d.
+    Otherwise, with q < r it runs the pre-check, then the DFS.  It re-checks
+    any witness.  node_limit caps the DFS's attempted symbol placements, the
+    only nodes counted.  The pair checks grow as the square of the prefixes
+    and the DFS's masks and the witness with the r * m tail symbols, so both
+    are guarded first.  No one-hot position takes more than r symbols.
 
     With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
     and each pair then ends at pd + m, so every pair reaches d and no
@@ -476,7 +477,7 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     guard_terms(r * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     tails, nodes, exhausted = None, 0, True
-    if r < 2 or min_distance(Code(ws.prefixes)) + m >= d:
+    if r < 2 or m + 1 >= d or min_distance(Code(ws.prefixes)) + m >= d:
         if ws.q >= r:
             tails = [[i] * m for i in range(r)]
         else:
@@ -524,12 +525,9 @@ def parse_witness_set(text: str) -> WitnessSet:
     if not content:
         raise ValueError("witness file has no content lines")
     head = content[0].split()
-    if len(head) != 2:
+    if len(head) != 2 or not all(h.isascii() and h.isdigit() for h in head):
         raise ValueError(f"first content line must be 'q k', got {content[0]!r}")
-    try:
-        q, k = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"first content line must be 'q k', got {content[0]!r}") from None
+    q, k = map(int, head)
     if len(content) < 2:
         raise ValueError("witness file lists no prefixes")
     ws = WitnessSet.from_strings(q, content[1:])

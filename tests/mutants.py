@@ -152,11 +152,19 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "    if r < 2 or min_distance(",
-        "    if r < 2 or ws.q < r or min_distance(",
+        "    if r < 2 or m + 1 >= d or min_distance(",
+        "    if r < 2 or ws.q < r or m + 1 >= d or min_distance(",
         ("tests/test_search.py::test_differential_random[precheck-67]",),
         "the pair rule runs only at q >= r, so the DFS meets a negative slack and the re-check "
         "rejects its witness",
+    ),
+    (
+        SEARCH,
+        " or m + 1 >= d or ",
+        " or m + 2 >= d or ",
+        ("tests/test_search.py::test_differential_grid[catalogue]",),
+        "the pair rule is skipped at m + 2 >= d, where a pair at distance 1 still blocks: unsound; "
+        "the q_ge_d cases have m = d - 2, so the re-check rejects their witness",
     ),
     (
         SEARCH,

@@ -114,6 +114,15 @@ def test_search_tail_header_k_mismatch(tmp_path, capsys):
     assert err == "error: the first content line gives k=3, but the prefixes have length 2\n"
 
 
+def test_search_tail_header_not_ascii_decimal(tmp_path, capsys):
+    ws = tmp_path / "ws.txt"
+    ws.write_text("+2 +1\n0\n1\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["search-tail", "--d", "2", "--tail-len", "1", "--prefixes", str(ws)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: first content line must be 'q k', got '+2 +1'\n"
+
+
 def test_search_tail_missing_file(capsys):
     code, _, err = _run(
         capsys,

@@ -72,6 +72,15 @@ def test_word_parse_wide_alphabet():
     assert Word.parse(str(w), 16) == w
 
 
+def test_word_parse_wide_alphabet_reads_ascii_decimals_only():
+    # int() reads each of these too, but a wide-alphabet symbol is a plain
+    # run of the digits 0 to 9, as the digit-string form is for q <= 10
+    for text in ("1_0", "+2 3", "\u0661\u0662 3", "0 -1", "0 0x1"):
+        with pytest.raises(ValueError, match="^not a word of decimal symbols: "):
+            Word.parse(text, 20)
+    assert Word.parse(" 012  3 ", 20) == Word((12, 3), 20)
+
+
 def test_str_parse_roundtrip_randomized():
     rng = random.Random(11)
     for _ in range(300):

@@ -1,7 +1,9 @@
 """The package namespace: each public name loads its module on first use."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,14 @@ def _fresh(cli_env, script):
 def test_importing_a_module_loads_no_other(cli_env, module):
     script = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.startswith('griesmer')))"
     assert _fresh(cli_env, script).split() == ["griesmer", module]
+
+
+def test_reference_searches_load_no_engine_module(cli_env):
+    # the differential tests trust tests/reference.py only if it shares no
+    # engine code: it imports griesmer.bounds, which loads no other module
+    paths = os.pathsep.join([cli_env["PYTHONPATH"], str(Path(__file__).resolve().parent)])
+    script = "import sys, reference; print(*sorted(m for m in sys.modules if m.startswith('griesmer')))"
+    assert _fresh(dict(cli_env, PYTHONPATH=paths), script).split() == ["griesmer", "griesmer.bounds"]
 
 
 def test_public_names_resolve(cli_env):

@@ -19,7 +19,7 @@ from griesmer.search import (
     parse_witness_set,
     tail_search,
 )
-from griesmer.theorems import verify
+from griesmer.theorems import verify, verify_all, witness_set_for
 from reference import naive_oracle, unreduced_dfs
 
 
@@ -147,6 +147,21 @@ def test_pair_rule_skips_the_precheck(monkeypatch):
     # q < r: all 4,096 binary 12-bit prefixes hold pairs at distance 1
     out = tail_search(_all_prefixes(2, 12), 0, 2)
     assert not out.feasible and out.exhausted and out.nodes_explored == 0
+
+
+def test_pair_rule_reads_no_distance_when_m_covers_d(monkeypatch):
+    # distinct prefixes are at distance at least 1, so at m + 1 >= d no pair
+    # can block, and the witness re-check is the only minimum distance taken
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return min_distance(code)
+
+    monkeypatch.setattr("griesmer.search.min_distance", counted)
+    out = tail_search(_ws(2, ["00", "01", "10"]), 3, 3)
+    assert out.feasible
+    assert calls == [out.witness]
 
 
 def test_witness_keeps_zero_tail_on_zero_prefix():
@@ -308,6 +323,11 @@ def _differential_grid(cases, oracle_limit):
     return {"nodes": nodes, "oracle": oracle, "kinds": kinds, "feasible": verdicts}
 
 
+def _distances(words):
+    """The ordered prefix-distance matrix of equal-length symbol tuples, row pairs in order."""
+    return tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
+
+
 def _distinct(q, ks, rs, ms, d_from=1, d_below=1):
     """Every (ws, m, d) with k in ks, r in rs prefixes, m in ms and d_from <= d < m + k + d_below.
 
@@ -320,7 +340,7 @@ def _distinct(q, ks, rs, ms, d_from=1, d_below=1):
         found = {}
         for extra in combinations(pool[1:], r - 1):
             w = (pool[0],) + extra
-            found.setdefault(tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(w, 2)), w)
+            found.setdefault(_distances(w), w)
         for words in found.values():
             ws = WitnessSet(Word(w, q) for w in words)
             yield from ((ws, m, d) for m in ms for d in range(d_from, m + k + d_below))
@@ -333,6 +353,22 @@ def _weight1_cases():
         for extra in chain.from_iterable(combinations(singles, n) for n in range(3)):
             ws = WitnessSet((Word((0,) * k, q),) + extra)
             yield from ((ws, m, d) for m in range(4) for d in range(1, 5))
+
+
+def _catalogue_cases():
+    """One case per distinct (q, prefix-distance matrix, m, d) among the verify_all(13) verdicts.
+
+    The search reads the prefixes only through their distances, so the
+    smallest k of each stands for every k; test_k_independence_of_every_family
+    in tests/test_theorems.py checks that across k.
+    """
+    found = {}
+    for v in verify_all(13):
+        p = v.params
+        ws = witness_set_for(v.theorem_id, p.q, p.d, p.k)
+        m = p.n - p.k
+        found.setdefault((p.q, _distances([w.symbols for w in ws.prefixes]), m, p.d), (ws, m, p.d))
+    return found.values()
 
 
 # id: (cases, the oracle's limit on q**(m * (r - 1)) or None, the summary items pinned)
@@ -359,6 +395,12 @@ _GRIDS = {
     ),
     "precheck-q3-k2-r4-m3": (
         lambda: _distinct(3, [2], range(2, 5), range(4)), 2**10, {"kinds": {"pair", "average"}}
+    ),
+    # every theorem family, refuted by the pair rule or the pre-check with 0 nodes
+    "catalogue": (
+        _catalogue_cases,
+        3**9,
+        {"nodes": 771, "oracle": 15, "kinds": {"pair", "average", "parity"}, "feasible": {False}},
     ),
 }
 
@@ -759,6 +801,17 @@ def test_parse_witness_set_errors():
     for text in ("2 3\n00\n01\n", "2 1\n00\n01\n"):
         with pytest.raises(ValueError, match="but the prefixes have length 2$"):
             parse_witness_set(text)
+
+
+def test_parse_witness_set_reads_ascii_decimals_only():
+    # int() reads each of these too, but a header or a wide-alphabet symbol
+    # is a plain run of the digits 0 to 9
+    for header in ("+2 +1", "2 \u0661", "2_0 1", "2 0x1"):
+        with pytest.raises(ValueError, match=r"^first content line must be 'q k', got "):
+            parse_witness_set(f"{header}\n0\n1\n")
+    with pytest.raises(ValueError, match=r"^not a word of decimal symbols: '1_0'$"):
+        parse_witness_set("11 1\n0\n1_0\n")
+    assert [str(w) for w in parse_witness_set("11 1\n0\n10\n").prefixes] == ["0", "10"]
 
 
 def test_load_witness_set(tmp_path):

@@ -1,15 +1,13 @@
 """Theorem cases, verdicts, and the verification driver."""
 
-from itertools import combinations
-
 import pytest
 
 from griesmer import bounds
 from griesmer.bounds import GuardLimitError, griesmer_sum
 from griesmer.core import CodeParams
-from griesmer.search import WitnessSet, _precheck, full_search, tail_search
+from griesmer.search import WitnessSet, tail_search
 from griesmer.theorems import THEOREM_IDS, Verdict, verify, verify_all, witness_set_for
-from test_search import _dfs
+from test_search import _all_prefixes, _differential, _differential_grid, _distances
 
 
 def _prefix_strings(ws):
@@ -52,13 +50,18 @@ def test_case_embedding_pads_leading_zeros():
     assert _critical_m(verify("d56_k3", 2, 5, 5)) == 6
 
 
+def _assert_full_refutation(verdicts):
+    """Every case's q**k prefixes, at its critical m and d, through the differential harness."""
+    cases = [(_all_prefixes(v.params.q, v.params.k), _critical_m(v), v.params.d) for v in verdicts]
+    assert _differential_grid(cases, 3**9)["feasible"] == {False}
+
+
 def _assert_pigeonhole_refutation(verdict):
     # {0, e_k} is at distance 1 and 1 + m < d: refuted by the pair's minimum distance
     assert verdict.confirmed
     assert verdict.outcome.nodes_explored == 0
     # cross-check against an exhaustive search over all q**k prefixes
-    full = full_search(verdict.params)
-    assert not full.feasible and full.exhausted
+    _assert_full_refutation([verdict])
 
 
 def test_case_q_ge_d_is_pigeonhole_pair():
@@ -228,16 +231,6 @@ def test_verify_all_kmax8_extent():
     assert all(v.confirmed for v in verdicts)
 
 
-def test_dfs_alone_refutes_every_catalogue_case():
-    # the pair rule or the pre-check settles each case with 0 nodes; the DFS
-    # alone, which reads neither verdict, must refute every one of them too
-    for verdict in verify_all(8):
-        assert verdict.confirmed and verdict.outcome.nodes_explored == 0
-        p = verdict.params
-        ws = witness_set_for(verdict.theorem_id, p.q, p.d, p.k)
-        assert _dfs(ws, _critical_m(verdict), p.d)[0] is None, verdict.to_dict()
-
-
 def test_verify_all_rejects_small_kmax():
     with pytest.raises(ValueError):
         verify_all(1)
@@ -254,11 +247,6 @@ def _ks_by_family(kmax):
 _FAMILIES = _ks_by_family(12)
 
 
-def _distances(ws):
-    words = [w.symbols for w in ws.prefixes]
-    return tuple(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
-
-
 @pytest.mark.parametrize("theorem_id, q, d", list(_FAMILIES))
 def test_k_independence_of_every_family(theorem_id, q, d):
     # a larger k only adds leading zeros to the prefixes, and the critical
@@ -266,35 +254,34 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     # only through their distances, so every k gets the same search and
     # the same refutation, and no node limit can cut a case short.  The
     # two-prefix families are refuted by a pair no tails separate; every
-    # other family passes that rule and is refuted by the pre-check
+    # other family passes that rule and is refuted by the pre-check.  At
+    # every k the differential harness gives one result: the DFS alone
+    # and the reference searches refute each case too
     ks = _FAMILIES[theorem_id, q, d]
     witnesses = [witness_set_for(theorem_id, q, d, k) for k in ks]
     verdicts = [verify(theorem_id, q, d, k) for k in ks]
-    assert len({_distances(ws) for ws in witnesses}) == 1
+    assert len({_distances([w.symbols for w in ws.prefixes]) for ws in witnesses}) == 1
     assert len({_critical_m(v) for v in verdicts}) == 1
-    m = _critical_m(verdicts[0])
-    pair = {min(_distances(ws)) + m < d for ws in witnesses}
-    if theorem_id in ("q_ge_d", "d12"):
-        assert pair == {True}
-    else:
-        assert pair == {False} and all(q < len(ws.prefixes) for ws in witnesses)
-        reasons = {_precheck([w.symbols for w in ws.prefixes], q, m, d)[1] for ws in witnesses}
-        assert len(reasons) == 1 and None not in reasons
     assert all(v.confirmed for v in verdicts)
     assert {v.outcome.nodes_explored for v in verdicts} == {0}
+    m = _critical_m(verdicts[0])
+    results = {_differential(ws, m, d) for ws in witnesses}
+    assert len(results) == 1
+    [(reason, _, _)] = results
+    if theorem_id in ("q_ge_d", "d12"):
+        assert reason[0] == "pair"
+    else:
+        assert reason[0] in ("average", "parity") and all(q < len(ws.prefixes) for ws in witnesses)
     if (theorem_id, d) == ("d56_k3", 6):
-        assert {_dfs(ws, _critical_m(v), d)[1] for ws, v in zip(witnesses, verdicts)} == {273}
-        assert {_critical_m(v) for v in verdicts} == {7}
+        assert results == {(("average", 44, 42), 273, False)} and m == 7
 
 
 def test_witness_set_sufficiency():
     # a confirmed tail-mode verdict implies full-search infeasibility
-    for q, d, k in ((2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 3), (3, 4, 2)):
-        verdict = verify("d34", q, d, k)
-        assert verdict.confirmed
-        p = verdict.params
-        full = full_search(CodeParams(q=p.q, n=p.n, k=p.k, d=p.d))
-        assert not full.feasible and full.exhausted
+    points = ((2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 3), (3, 4, 2))
+    verdicts = [verify("d34", q, d, k) for q, d, k in points]
+    assert all(v.confirmed for v in verdicts)
+    _assert_full_refutation(verdicts)
 
 
 def test_refuted_length_is_below_bound():
@@ -307,10 +294,9 @@ def test_refuted_length_is_below_bound():
 def test_both_case_families_are_refuted():
     # cross-check: a second five-prefix family is refuted on its own too,
     # although verify needs only the first
-    for d in (5, 6):
-        ws = WitnessSet.from_strings(2, ["000", "001", "010", "100", "011"])
-        out = tail_search(ws, d + 1, d)
-        assert not out.feasible and out.exhausted
+    ws = WitnessSet.from_strings(2, ["000", "001", "010", "100", "011"])
+    summary = _differential_grid([(ws, d + 1, d) for d in (5, 6)], 3**9)
+    assert summary == {"nodes": 1356, "oracle": 0, "kinds": {"average", "parity"}, "feasible": {False}}
 
 
 def test_dropping_a_prefix_breaks_the_refutation():
@@ -323,7 +309,7 @@ def test_dropping_a_prefix_breaks_the_refutation():
 
 def test_verify_searches_only_the_first_family():
     verdict = verify("d56_k3", 2, 5, 3)
-    solo = tail_search(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5)
-    assert verdict.outcome == solo
+    ws = witness_set_for("d56_k3", 2, 5, 3)
+    assert verdict.outcome == tail_search(ws, _critical_m(verdict), 5)
     assert verdict.outcome.nodes_explored == 0
-    assert _dfs(witness_set_for("d56_k3", 2, 5, 3), _critical_m(verdict), 5) == (None, 439, True)
+    assert _differential(ws, _critical_m(verdict), 5) == (("parity", 44, 42), 439, False)
