@@ -31,6 +31,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _decimal(text: str) -> int:
+    # int() would also read a sign, underscores and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -92,43 +99,43 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("bound", help="print the Griesmer and Singleton bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--q", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
+    p.add_argument("--d", type=_decimal, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("table", help="print a bound table over a (k, d) grid")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--q", type=_decimal, required=True)
+    p.add_argument("--kmax", type=_decimal, required=True)
+    p.add_argument("--dmax", type=_decimal, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = subs.add_parser("search-tail", help="search tail assignments for a witness set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tail-len", type=int, required=True)
+    p.add_argument("--d", type=_decimal, required=True)
+    p.add_argument("--tail-len", type=_decimal, required=True)
     p.add_argument("--prefixes", required=True, metavar="FILE")
-    p.add_argument("--node-limit", type=int, default=AD_HOC_NODE_LIMIT, metavar="N")
+    p.add_argument("--node-limit", type=_decimal, default=AD_HOC_NODE_LIMIT, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("search-full", help="search for a full systematic code")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--node-limit", type=int, default=AD_HOC_NODE_LIMIT, metavar="N")
+    p.add_argument("--q", type=_decimal, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
+    p.add_argument("--d", type=_decimal, required=True)
+    p.add_argument("--node-limit", type=_decimal, default=AD_HOC_NODE_LIMIT, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("verify", help="verify one nonexistence case")
     p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--node-limit", type=int, metavar="N")
+    p.add_argument("--q", type=_decimal, required=True)
+    p.add_argument("--d", type=_decimal, required=True)
+    p.add_argument("--k", type=_decimal, required=True)
+    p.add_argument("--node-limit", type=_decimal, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = subs.add_parser("verify-all", help="verify every case up to --kmax")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--node-limit", type=int, metavar="N")
+    p.add_argument("--kmax", type=_decimal, default=4)
+    p.add_argument("--node-limit", type=_decimal, metavar="N")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

@@ -128,23 +128,16 @@ def _precheck(
 
 
 def _backtrack(
-    slack: list[list[int]],
-    q: int,
-    m: int,
-    node_limit: int | None,
+    slack: list[list[int]], q: int, m: int, node_limit: int | None
 ) -> tuple[list[list[int]] | None, int, bool]:
     """Column-by-column DFS over tail assignments; returns (tails, nodes, exhausted).
 
     tails is the first solution found, or None; exhausted is False only
-    when node_limit aborted the run, as in SearchOutcome.
-
-    slack is the table _precheck builds, one row per word; the search
-    only reads it, so a table serves any number of calls.  Every slack
-    must be at least 0, as tail_search ensures: a negative one is a pair
-    that no tails separate, and the budgets below assume none.
-
-    Words are assigned in table order; within a word, tail columns are
-    filled left to right with symbols tried in increasing order.
+    when node_limit aborted the run, as in SearchOutcome.  slack is the
+    table _precheck builds, one row per word; the search only reads it,
+    so a table serves any number of calls.  Every slack is at least 0,
+    as tail_search ensures.  Words are assigned in table order; within a
+    word, tail columns left to right, symbols in increasing order.
 
     Cells are bits: bit c * q + s stands for symbol s in tail column c,
     and rowmask[j], the only record of row j's placed cells, is low
@@ -159,27 +152,26 @@ def _backtrack(
     every other open column can still disagree with it.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
-    budget1, budget2, planes, table).  mask is the blocked-symbol mask,
-    so every budget prunes by one bit test.  A spent budget sets bits:
-    rowmask[j] for the pair (i, j), and rowmask[a] & rowmask[b], where
-    word i would agree with both, for a pair of rows (see triple).  The
-    rest is the pigeonhole count's (see below): its two sets' budget
-    sums, and six bit planes of m*q bits stacked in one integer, set 2
-    in the upper three.  Plane t of a set holds the cells that at least
-    t of its rows hold, so a column's minimum is at least t where all
-    its free cells lie in plane t, and the planes where they do add up
-    to min(minimum, 3).  A row joins a set when its budget falls to the
-    set's bound, in one saturating step on the planes; budgets only fall
-    along a word, so a set only grows.  table holds the three-word
-    budgets' start values (see triple), fixed for the word.  An accepted
-    placement writes state[p + 1], state[p] plus the bits of the budgets
-    it spends and the rows it moves into a set; a placement that moves
-    neither writes state[p] itself, so a long tail adds one reference
-    per cell.  One that completes word i writes _start's state for word
-    i + 1, or is pruned if there is none; word 1 meets only the zero
-    word, so its state[0], set before the loop, always exists.  Each
-    state[p] has one writer, a re-accept overwrites it, and the search
-    moves back only by exhausting a cell, so nothing is undone.
+    budget1, budget2, planes, table).  mask holds the blocked cells, so
+    every budget prunes by one bit test: a spent budget sets rowmask[j]
+    for the pair (i, j), and rowmask[a] & rowmask[b], where word i would
+    agree with both, for a pair of rows (see triple).  The pigeonhole
+    count (see below) keeps its two sets' budget sums and six bit planes
+    of m*q bits in one integer, set 2 in the upper three.  Plane t of a
+    set holds the cells that at least t of its rows hold, so the planes
+    in which all free cells of a column lie add up to min(its minimum,
+    3).  A row joins a set when its budget falls to the set's bound, in
+    one saturating step on the planes; budgets only fall along a word,
+    so a set only grows.  table holds the three-word budgets' start
+    values (see triple).  An accepted placement writes state[p + 1],
+    state[p] plus the budgets it spends and the rows it moves into a
+    set, or state[p] itself if it moves neither.  One that completes
+    word i writes _start's state for word i + 1, or is pruned if there
+    is none or if rows 1..i repeat a refuted state (see below); word 1
+    meets only the zero word, so its state[0], set before the loop,
+    always exists.  Each state[p] has one writer, a re-accept overwrites
+    it, and the search moves back only by exhausting a cell, so nothing
+    is undone; only the refuted states outlive a backtrack.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.  At cell
@@ -188,25 +180,38 @@ def _backtrack(
     accepted placement appends i, and a revisit pops it, the last entry.
 
     Two symmetry reductions apply.  Value precedence: the symbol of
-    word i in tail column c is at most 1 + the largest above it, so a
-    nonzero symbol first appears in a column only after every smaller
-    one has appeared above it; for word 1 the bound is 1.  Order: the
-    first nonzero word's tail, read off w, is nonincreasing.  As
-    holders[c] holds only rows above i, the symbols above i in column c
-    are those whose list is nonempty; by precedence they are 0..t with
-    no gap, so the bound starts at q - 1 and drops until the symbol
-    below it has a nonempty list.  holders[c][0] always holds the zero
-    word, so with q = 2 the bound never binds.
-
-    Soundness: an alphabet bijection fixing 0, applied to one tail
-    column, keeps every distance and keeps the zero word's zero tail.
+    word i in tail column c is at most 1 + the largest above it, and for
+    word 1 at most 1.  Order: the first nonzero word's tail, read off w,
+    is nonincreasing.  The symbols above i in column c are those whose
+    holders list is nonempty, by precedence 0..t with no gap, so the
+    bound starts at q - 1 and drops until the symbol below it has a
+    nonempty list; holders[c][0] holds the zero word, so with q = 2 it
+    never binds.  Soundness: an alphabet bijection fixing 0, applied to
+    one tail column, keeps every distance and the zero word's zero tail.
     So relabel each column's nonzero symbols in order of first
     appearance down the column; the result obeys precedence, and word 1
     holds only 0s and 1s.  Then stable-sort the columns by word 1's
-    symbol, 1s first.  Permuting the tail columns of all words at once
-    keeps every distance, and it moves whole columns, so each column
-    keeps its precedence.  Every solution thus maps to one inside the
-    reduced space, and feasibility is unchanged.
+    symbol, 1s first: permuting the tail columns of all words at once
+    keeps every distance and each column's precedence.  Every solution
+    thus maps to one in the reduced space.  Every solution meets each
+    prune below, so a prune removes only subtrees that hold no solution:
+    the first solution found, and every outcome and witness, stays the
+    same; only the node count falls.
+
+    Refuted states.  When word i's first cell is exhausted, refuted
+    records keys[i - 1], the key of rows 1..i-1 (0 for i = 1, where the
+    search ends): the sorted multiset of their tail columns of one-hot
+    cells, columns[i - 1], packed into one int; a column's popcount is
+    its depth, so depths never share a key.  A placement that completes
+    word i is pruned if the key of rows 1..i is recorded.  Soundness: a
+    recorded state S obeys precedence and has a nonincreasing word 1,
+    so the relabelling and the stable sort above fix S and map any code
+    extending S to a reduced code extending S; as no prune, this one
+    included, removes a solution, exhausting S proves that no code
+    extends S.  Equal keys mean S' = pi(S) for a permutation pi of the
+    tail columns, and pi^-1 maps every code extending S' to one
+    extending S.  Precedence fixes each column's labels, so the key
+    matches relabellings too.  A node-limited abort records nothing.
 
     triple adds, for q = 2, a budget on the agreements that word i
     shares with two earlier words a < b, whose tail distance is
@@ -219,14 +224,9 @@ def _backtrack(
     (slack[i][a] + slack[i][b] - D(a, b)) // 2, the start budget in
     table[b][a], of which word i has used popcount(w & rowmask[a] &
     rowmask[b]).  A negative start leaves word i no tail and prunes
-    word i - 1's last placement.  The bound is not exact, but every
-    solution meets it, so it removes only subtrees that hold no
-    solution: the first solution found, and so every outcome and
-    witness, stays the same, and only the node count falls.  A placement
-    reads the budgets of O(|agree|^2) pairs, so the budget is kept only
-    when r <= 2m: word i's table, i(i-1)/2 entries, is then no larger
-    than the i*m cells above it, and wide searches stay on the pairwise
-    budget alone.
+    word i - 1's last placement.  A placement reads O(|agree|^2) pair
+    budgets, so triple holds only when r <= 2m, where word i's table,
+    i(i-1)/2 entries, is no larger than the i*m cells above it.
 
     Unit propagation, the block of the symbol loop after the budgets,
     forward-checks a placement whose spent budgets add bits to the mask,
@@ -240,13 +240,10 @@ def _backtrack(
     with word i in no further column, a pair whose shared budget is
     spent can share no further column with word i, and all q symbols
     count, precedence or not, so every tail of word i through this
-    placement puts the forced symbol in each forced column.  The forced
-    agreements are thus real, and a prune removes only subtrees that
-    hold no solution: as with triple, every outcome and witness stays
-    the same.  Three-word budgets enter only through the mask bits;
-    forced cells are checked against the pairwise budgets alone.  The
-    propagated bits are not kept: a row that a forced cell brings to its
-    slack blocks that cell's own symbol.
+    placement puts the forced symbol in each forced column.  Forced
+    cells are checked against the pairwise budgets alone, and the
+    propagated bits are not kept: a row that a forced cell brings to
+    its slack blocks that cell's own symbol.
 
     A pigeonhole count then checks the rows near their slack together.
     Let b_j be row j's budget left after this placement, and R the rows
@@ -255,37 +252,25 @@ def _backtrack(
     column c' > c, so it agrees with the rows of R at least
     sum over c' of min over free s of #{j in R : row j holds s in c'}
     more times, while row j can take only b_j more: a sum above the sum
-    of b_j over R prunes the placement.  Soundness: a tail uses only
-    free symbols, all q symbols count, precedence or not, and counting
-    the minimum at most 3 per column gives a lower bound on the sum, so
-    a prune removes only subtrees that hold no solution; every outcome
-    and witness stays the same.  A row whose budget is spent stays in
-    R, but every cell it holds is blocked, so it adds 0 to both sides.
-    The count runs only when the placement spends a budget or moves a
-    row into a set; otherwise it would read the state of the previous
-    cell, less the column just placed.  The column wipe-out is the
-    count's budget-0 case: the rows with b_j = 0 hold only blocked
-    cells, so a column whose free cells all lie in their plane has none,
-    and a budget sum of 0 prunes it.  The propagation finds those
-    columns in the pass that also finds the forced ones, and again after
-    each round of forcing, so the count keeps no plane for them.
+    of b_j over R prunes the placement.  A tail uses only free symbols,
+    all q count, precedence or not, and a minimum counted at most 3 per
+    column still bounds the sum from below.  A row whose budget is spent
+    adds 0 to both sides, as every cell it holds is blocked.  The count
+    runs only when the placement spends a budget or moves a row into a
+    set; otherwise it would read the state of the previous cell, less
+    the column just placed.  Its budget-0 case, a column whose free
+    cells all lie in the plane of the rows with b_j = 0, is the column
+    wipe-out, which the propagation finds with the forced columns.
 
-    Every attempted symbol placement counts as one node, pruned or not,
-    by the mask, the propagation, the count or the next word's start,
-    each a continue in the symbol loop.  A mask prune is one bit test.
-    A placement that passes it takes a popcount per agreeing row whose
-    slack is at most c + 3, as only those can have 3 or fewer agreements
-    left after c cells, and per agreeing pair whose budget is at most
-    reach = c + 1.  The propagation block runs only on placements that
-    spend a budget: a round is about 5q shifts, ANDs and ORs of an
-    m*q-bit integer, plus a popcount per row that agrees with a cell it
-    forces and whose slack is at most the decided columns (no other row
-    can be at its slack).  The count is about 3q + 7 such operations on
-    the 6*m*q-bit planes, two of them popcounts; a row joining a set
-    costs five.  A checked placement builds the open-column mask once
-    for both checks, not every cell, which would shift m*q bits per
-    node, and the count builds its column masks on each call, as a table
-    of them per column would hold 6*m*m*q bits.
+    Every attempted placement counts as one node, pruned or not, each
+    prune a continue in the symbol loop.  A mask prune is one bit test.
+    Past it a placement takes a popcount per agreeing row whose slack is
+    at most c + 3 (no other can have 3 or fewer agreements left) and per
+    agreeing pair whose budget is at most reach = c + 1.  A propagation
+    round is about 5q operations on m*q bits, plus a popcount per row
+    agreeing with a forced cell whose slack is at most the decided
+    columns; the count is about 3q + 7 on the 6*m*q-bit planes.  A
+    completed word costs a sort of m columns and a set lookup.
     """
     r = len(slack)
     triple = q == 2 and r <= 2 * m
@@ -303,6 +288,7 @@ def _backtrack(
     rep = sum(1 << t * width for t in range(6))
     fill = (1 << q) - 1
     limit = sys.maxsize if node_limit is None else node_limit
+    columns, keys, refuted = [[0] * m] * r, [0] * r, set()
     nodes = p = 0
     if total:
         state[0] = _start(slack[1], rowmask, m, q, triple)
@@ -401,14 +387,21 @@ def _backtrack(
             if c + 1 < m:
                 state[p + 1] = (after, left1, left2, plane, table) if moved else cell
             elif p + 1 < total:
-                if (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
+                row = rowmask[i]
+                cols = [x << q | row >> t * q & fill for t, x in enumerate(columns[i - 1])]
+                key = 0
+                for x in sorted(cols):
+                    key = key << i * q | x
+                if key in refuted or (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
                     continue
-                state[p + 1] = start
+                columns[i], keys[i], state[p + 1] = cols, key, start
             agree.append(i)
             p += 1
             break
         else:
             rowmask[i] = w
+            if not c:
+                refuted.add(keys[i - 1])
             p -= 1
             if p < 0:
                 return None, nodes, True

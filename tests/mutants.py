@@ -33,8 +33,8 @@ SEARCH = "griesmer/search.py"
 MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     (
         SEARCH,
-        "        else:\n            rowmask[i] = w\n            p -= 1\n",
-        "        else:\n            p -= 1\n",
+        "        else:\n            rowmask[i] = w\n            if not c",
+        "        else:\n            if not c",
         ("tests/test_search.py::test_differential_grid[weight1]",),
         "a word backed out of keeps its cells, so the rows below it see stale budgets",
     ),
@@ -172,6 +172,30 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
         "        if False:\n",
         ("tests/test_search.py::test_witness_recheck_catches_a_faulty_dfs",),
         "no min_distance re-check: a wrong witness from the DFS would be reported as feasible",
+    ),
+    (
+        SEARCH,
+        "x << q | row >> t * q & fill",
+        "row >> t * q & fill",
+        ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
+        "the refuted-state key holds only word i's own cells, so a state that differs from a "
+        "refuted one in the rows above it is pruned too: unsound",
+    ),
+    (
+        SEARCH,
+        "x << q | row >> t * q & fill",
+        "x | row >> t * q & fill",
+        ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
+        "word i's cells land on the rows above it in the same q bits of each column, so states "
+        "that differ share a key: unsound",
+    ),
+    (
+        SEARCH,
+        "for x in sorted(cols):",
+        "for x in cols:",
+        ("tests/test_search.py::test_node_limit_aborts_exactly",),
+        "the refuted-state key keeps the columns in place, so a state matches only itself, not "
+        "its column permutations: looser, caught by a pinned node total",
     ),
 ]
 

@@ -389,6 +389,29 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
 
 
+_VALID_ARGV = {
+    "--q": ["bound", "--q", "2", "--k", "3", "--d", "5"],
+    "--k": ["bound", "--q", "2", "--k", "3", "--d", "5"],
+    "--d": ["bound", "--q", "2", "--k", "3", "--d", "5"],
+    "--kmax": ["table", "--q", "2", "--kmax", "2", "--dmax", "2"],
+    "--dmax": ["table", "--q", "2", "--kmax", "2", "--dmax", "2"],
+    "--n": ["search-full", "--q", "2", "--n", "5", "--k", "2", "--d", "3"],
+    "--tail-len": ["search-tail", "--d", "3", "--tail-len", "1", "--prefixes", "ws.txt"],
+    "--node-limit": ["search-full", "--q", "2", "--n", "5", "--k", "2", "--d", "3", "--node-limit", "9"],
+}
+
+
+@pytest.mark.parametrize("option", list(_VALID_ARGV))
+def test_integer_options_read_ascii_decimals_only(capsys, option):
+    # int() reads each of these too; an integer option is a plain run of the digits 0 to 9
+    argv = _VALID_ARGV[option]
+    at = argv.index(option) + 1
+    for bad in ("1_0", "\u0662", "+3", "-3", " 3", "0x3", "3.0", ""):
+        code, out, err = _run(capsys, argv[:at] + [bad] + argv[at + 1 :])
+        assert code == 1 and out == "", (option, bad)
+        assert err == f"error: argument {option}: not a decimal integer: {bad!r}\n"
+
+
 def test_deterministic_output_is_byte_identical(capsys):
     argv = ["verify", "--theorem", "d56_k3", "--q", "2", "--d", "5", "--k", "3", "--format", "json"]
     _, first, _ = _run(capsys, argv)

@@ -171,14 +171,14 @@ def test_witness_keeps_zero_tail_on_zero_prefix():
 
 
 def test_node_limit_aborts_exactly():
-    # the pre-check leaves this refutation to the DFS, which needs 98 nodes
+    # the pre-check leaves this refutation to the DFS, which needs 58 nodes
     ws = _ws(2, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
-    assert _dfs(ws, 3, 4) == (None, 98, True)
-    out = tail_search(ws, 3, 4, node_limit=97)
+    assert _dfs(ws, 3, 4) == (None, 58, True)
+    out = tail_search(ws, 3, 4, node_limit=57)
     assert not out.feasible
     assert not out.exhausted
-    assert out.nodes_explored == 97
+    assert out.nodes_explored == 57
     assert out.witness is None
 
 
@@ -224,9 +224,9 @@ def test_slack_table_serves_any_number_of_searches():
     slack, reason = _precheck(prefixes, 2, 14, 9)
     assert reason is None
     before = [row[:] for row in slack]
-    limit = 1320 + _PIN_MARGIN
+    limit = 1254 + _PIN_MARGIN
     first = _backtrack(slack, 2, 14, limit)
-    assert first[0] is not None and first[1:] == (1320, True)
+    assert first[0] is not None and first[1:] == (1254, True)
     assert slack == before
     assert _backtrack(slack, 2, 14, limit) == first
     assert slack == before
@@ -371,6 +371,13 @@ def _catalogue_cases():
     return found.values()
 
 
+def _refuted_state_cases():
+    """Binary, k <= 3: up to five prefixes at (m, d) = (6, 5), (7, 6), eight at (10, 7), (11, 8)."""
+    for rs, pairs in ((range(2, 6), {(6, 5), (7, 6)}), (range(2, 9), {(10, 7), (11, 8)})):
+        cases = _distinct(2, [1, 2, 3], rs, sorted(m for m, _ in pairs), d_from=5)
+        yield from ((ws, m, d) for ws, m, d in cases if (m, d) in pairs)
+
+
 # id: (cases, the oracle's limit on q**(m * (r - 1)) or None, the summary items pinned)
 _GRIDS = {
     "weight1": (_weight1_cases, 2**12, {"oracle": 800}),
@@ -382,12 +389,12 @@ _GRIDS = {
     "precedence-q4-k2-r4-m2": (lambda: _distinct(4, [2], [4], [2], d_from=2, d_below=0), 3**9, {}),
     # binary, k <= 3, up to six prefixes: the three-word budget applies
     # wherever 3 <= r <= 2m, and a looser budget changes no verdict, only the nodes
-    "budget-q2-k3-r6-m5": (lambda: _distinct(2, [1, 2, 3], range(2, 7), range(6)), 2**10, {"nodes": 22388}),
+    "budget-q2-k3-r6-m5": (lambda: _distinct(2, [1, 2, 3], range(2, 7), range(6)), 2**10, {"nodes": 22236}),
     # with m = 1 no column is left after the one placed, so the propagation
-    # cannot fire; without the pigeonhole count these totals are 40,558 and
-    # 24,087, with the column wipe-out alone 43,684 and 24,087, and with no
-    # forward check 51,784 and 24,217
-    "propagation-q3-k2-r6-m4": (lambda: _distinct(3, [2], range(3, 7), range(2, 5)), 2**12, {"nodes": 40501}),
+    # cannot fire; without the pigeonhole count these totals are 34,585 and
+    # 24,087, with the column wipe-out alone 36,421 and 24,087, and with no
+    # forward check 39,601 and 24,217
+    "propagation-q3-k2-r6-m4": (lambda: _distinct(3, [2], range(3, 7), range(2, 5)), 2**12, {"nodes": 34528}),
     "propagation-q4-k2-r5-m3": (lambda: _distinct(4, [2], range(3, 6), range(2, 4)), 2**12, {"nodes": 24087}),
     # for q = 2 the odd d bring the parity form
     "precheck-q2-k3-r5-m4": (
@@ -396,11 +403,15 @@ _GRIDS = {
     "precheck-q3-k2-r4-m3": (
         lambda: _distinct(3, [2], range(2, 5), range(4)), 2**10, {"kinds": {"pair", "average"}}
     ),
+    # the DFS meets word states it has refuted, up to a column permutation, at
+    # words 2 to 5, in refutations at d = 5, 6 and feasible searches at d = 7, 8;
+    # without the refuted-state prune this total is 5,617,549
+    "refuted-states-q2-k3": (_refuted_state_cases, 2**12, {"nodes": 41457, "feasible": {False, True}}),
     # every theorem family, refuted by the pair rule or the pre-check with 0 nodes
     "catalogue": (
         _catalogue_cases,
         3**9,
-        {"nodes": 771, "oracle": 15, "kinds": {"pair", "average", "parity"}, "feasible": {False}},
+        {"nodes": 389, "oracle": 15, "kinds": {"pair", "average", "parity"}, "feasible": {False}},
     ),
 }
 
@@ -632,7 +643,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 @pytest.mark.parametrize(
     "q, n, k, d, nodes, witness",
     [
-        (2, 18, 4, 9, 1320, [
+        (2, 18, 4, 9, 1254, [
             "000000000000000000", "000111111111000000", "001000000011111111",
             "001100111100001111", "010001011100110011", "010101100101111100",
             "011011011010011100", "011111100010100011", "100010101110110101",
@@ -640,10 +651,10 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "110000111011101010", "110110000110001110", "111001101001000101",
             "111100010111010001",
         ]),
-        (2, 9, 3, 5, 439, None),
+        (2, 9, 3, 5, 201, None),
         (3, 4, 2, 3, 34, _TETRACODE),
         (5, 7, 2, 6, 75, None),
-        (3, 11, 2, 9, 2056, None),
+        (3, 11, 2, 9, 1498, None),
         (3, 16, 3, 10, 10732, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
@@ -667,6 +678,25 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "223031330", "232132102", "303322312", "313233001", "322303120",
             "333010223",
         ]),
+        (2, 16, 5, 8, 2025, [
+            "0000000000000000", "0000111111110000", "0001000011110111",
+            "0001101100011011", "0010001101101101", "0010110000111110",
+            "0011010111001010", "0011111010000101", "0100010110011101",
+            "0100101011001110", "0101011100100110", "0101110001101001",
+            "0110011001010011", "0110100110100011", "0111001010111000",
+            "0111100101010100", "1000011010101011", "1000110101000111",
+            "1001011001011100", "1001100110101100", "1010001110010110",
+            "1010100011011001", "1011010100110001", "1011101001100010",
+            "1100000101111010", "1100101000110101", "1101001111000001",
+            "1101110010010010", "1110010011100100", "1110111100001000",
+            "1111000000001111", "1111111111111111",
+        ]),
+        (2, 14, 4, 7, 710, [
+            "00000000000000", "00011111110000", "00100001110111", "00110110001011",
+            "01000110111101", "01011000011110", "01101011101010", "01111101000101",
+            "10001011001101", "10010101101110", "10101110010110", "10111000111001",
+            "11001100100011", "11010011010011", "11100101011000", "11110010100100",
+        ]),
         (5, 10, 2, 8, 10721, [
             "0000000000", "0111111110", "0201222221", "0302133332", "0403314443",
             "1001441344", "1110022333", "1211303402", "1312210024", "1414434211",
@@ -678,7 +708,8 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
     # ids name the instance, not its count, so a re-pin keeps the test's name
     ids=[
         "q2-n18-k4-d9", "q2-n9-k3-d5", "q3-n4-k2-d3", "q5-n7-k2-d6", "q3-n11-k2-d9",
-        "q3-n16-k3-d10", "q4-n7-k2-d5", "q4-n6-k2-d5", "q4-n9-k2-d7", "q5-n10-k2-d8",
+        "q3-n16-k3-d10", "q4-n7-k2-d5", "q4-n6-k2-d5", "q4-n9-k2-d7", "q2-n16-k5-d8",
+        "q2-n14-k4-d7", "q5-n10-k2-d8",
     ],
 )
 def test_full_search_pinned_outcomes(q, n, k, d, nodes, witness):

@@ -273,7 +273,7 @@ def test_k_independence_of_every_family(theorem_id, q, d):
     else:
         assert reason[0] in ("average", "parity") and all(q < len(ws.prefixes) for ws in witnesses)
     if (theorem_id, d) == ("d56_k3", 6):
-        assert results == {(("average", 44, 42), 273, False)} and m == 7
+        assert results == {(("average", 44, 42), 129, False)} and m == 7
 
 
 def test_witness_set_sufficiency():
@@ -296,7 +296,7 @@ def test_both_case_families_are_refuted():
     # although verify needs only the first
     ws = WitnessSet.from_strings(2, ["000", "001", "010", "100", "011"])
     summary = _differential_grid([(ws, d + 1, d) for d in (5, 6)], 3**9)
-    assert summary == {"nodes": 1356, "oracle": 0, "kinds": {"average", "parity"}, "feasible": {False}}
+    assert summary == {"nodes": 378, "oracle": 0, "kinds": {"average", "parity"}, "feasible": {False}}
 
 
 def test_dropping_a_prefix_breaks_the_refutation():
@@ -312,4 +312,4 @@ def test_verify_searches_only_the_first_family():
     ws = witness_set_for("d56_k3", 2, 5, 3)
     assert verdict.outcome == tail_search(ws, _critical_m(verdict), 5)
     assert verdict.outcome.nodes_explored == 0
-    assert _differential(ws, _critical_m(verdict), 5) == (("parity", 44, 42), 439, False)
+    assert _differential(ws, _critical_m(verdict), 5) == (("parity", 44, 42), 201, False)
