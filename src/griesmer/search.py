@@ -166,12 +166,12 @@ def _backtrack(
     values (see triple).  An accepted placement writes state[p + 1],
     state[p] plus the budgets it spends and the rows it moves into a
     set, or state[p] itself if it moves neither.  One that completes
-    word i writes _start's state for word i + 1, or is pruned if there
-    is none or if rows 1..i repeat a refuted state (see below); word 1
-    meets only the zero word, so its state[0], set before the loop,
-    always exists.  Each state[p] has one writer, a re-accept overwrites
-    it, and the search moves back only by exhausting a cell, so nothing
-    is undone; only the refuted states outlive a backtrack.
+    word i writes _start's state and the classes (see below) for word
+    i + 1, or is pruned if there is no state; word 1 meets only the zero
+    word, so its state[0], set before the loop, always exists.  Each
+    state[p], classes[i] and links[i] has one writer, a re-accept
+    overwrites it, and the search moves back only by exhausting a cell,
+    so nothing is undone.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.  At cell
@@ -179,39 +179,38 @@ def _backtrack(
     word in every column from the start: rows are filled in order, so an
     accepted placement appends i, and a revisit pops it, the last entry.
 
-    Two symmetry reductions apply.  Value precedence: the symbol of
+    Three symmetry reductions apply.  Value precedence: the symbol of
     word i in tail column c is at most 1 + the largest above it, and for
     word 1 at most 1.  Order: the first nonzero word's tail, read off w,
-    is nonincreasing.  The symbols above i in column c are those whose
+    is nonincreasing.  Class order: for i >= 2, word i's symbols are
+    nondecreasing left to right within each class of tail columns equal
+    in rows 1..i-1.  The symbols above i in column c are those whose
     holders list is nonempty, by precedence 0..t with no gap, so the
     bound starts at q - 1 and drops until the symbol below it has a
     nonempty list; holders[c][0] holds the zero word, so with q = 2 it
-    never binds.  Soundness: an alphabet bijection fixing 0, applied to
-    one tail column, keeps every distance and the zero word's zero tail.
-    So relabel each column's nonzero symbols in order of first
-    appearance down the column; the result obeys precedence, and word 1
-    holds only 0s and 1s.  Then stable-sort the columns by word 1's
-    symbol, 1s first: permuting the tail columns of all words at once
-    keeps every distance and each column's precedence.  Every solution
-    thus maps to one in the reduced space.  Every solution meets each
-    prune below, so a prune removes only subtrees that hold no solution:
-    the first solution found, and every outcome and witness, stays the
-    same; only the node count falls.
-
-    Refuted states.  When word i's first cell is exhausted, refuted
-    records keys[i - 1], the key of rows 1..i-1 (0 for i = 1, where the
-    search ends): the sorted multiset of their tail columns of one-hot
-    cells, columns[i - 1], packed into one int; a column's popcount is
-    its depth, so depths never share a key.  A placement that completes
-    word i is pruned if the key of rows 1..i is recorded.  Soundness: a
-    recorded state S obeys precedence and has a nonincreasing word 1,
-    so the relabelling and the stable sort above fix S and map any code
-    extending S to a reduced code extending S; as no prune, this one
-    included, removes a solution, exhausting S proves that no code
-    extends S.  Equal keys mean S' = pi(S) for a permutation pi of the
-    tail columns, and pi^-1 maps every code extending S' to one
-    extending S.  Precedence fixes each column's labels, so the key
-    matches relabellings too.  A node-limited abort records nothing.
+    never binds.  classes[i][c] is the first column of c's class in rows
+    1..i, which a completed word i refines from classes[i - 1];
+    links[i + 1][c] is the nearest column left of c in its class, or -1,
+    and the loop at (i, c) starts at word i's symbol there, so, as above
+    the precedence bound, no symbol below it is a node.  Soundness: an
+    alphabet bijection fixing 0, applied to one tail column, keeps every
+    distance and the zero word's zero tail.  So relabel each column's
+    nonzero symbols in order of first appearance down the column; the
+    result obeys precedence, and word 1 holds only 0s and 1s.  Then
+    stable-sort the columns by word 1's symbol, 1s first: permuting the
+    tail columns of all words at once keeps every distance and each
+    column's precedence.  Then, for i = 2, 3, ... in turn, sort each
+    class in rows 1..i-1 by word i's symbol, ascending: this leaves rows
+    1..i-1 unchanged, and a later sort permutes only columns also equal
+    in row i, so it keeps the earlier ones.  Every solution thus maps to
+    one in the reduced space, no later in the search order, and every
+    solution meets each prune below, so none removes a solution.  So the
+    search stays complete, and the first solution it meets is its own
+    image: outcomes and witnesses are those of the search with no class
+    order; only the node count falls.  Nor need refuted states be kept:
+    a column permutation of an exhausted word state that first differs
+    from it in row j moves only columns equal in rows 1..j-1, so it is
+    an unsorted twin at word j, cut at its first out-of-order cell.
 
     triple adds, for q = 2, a budget on the agreements that word i
     shares with two earlier words a < b, whose tail distance is
@@ -270,7 +269,7 @@ def _backtrack(
     round is about 5q operations on m*q bits, plus a popcount per row
     agreeing with a forced cell whose slack is at most the decided
     columns; the count is about 3q + 7 on the 6*m*q-bit planes.  A
-    completed word costs a sort of m columns and a set lookup.
+    completed word costs a dict pass over its m columns.
     """
     r = len(slack)
     triple = q == 2 and r <= 2 * m
@@ -288,7 +287,7 @@ def _backtrack(
     rep = sum(1 << t * width for t in range(6))
     fill = (1 << q) - 1
     limit = sys.maxsize if node_limit is None else node_limit
-    columns, keys, refuted = [[0] * m] * r, [0] * r, set()
+    classes, links = [[0] * m] * r, [range(-1, m - 1)] * r
     nodes = p = 0
     if total:
         state[0] = _start(slack[1], rowmask, m, q, triple)
@@ -305,12 +304,14 @@ def _backtrack(
         cell = state[p]
         mask, budget1, budget2, planes, table = cell
         reach = c + 1
-        hi = q - 1
+        lo, hi = prev + 1, q - 1
         while hi > 1 and not col[hi - 1]:
             hi -= 1
         if i == 1 and c > 0 and (x := (w >> (c - 1) * q).bit_length() - 1) < hi:
             hi = x
-        for s in range(prev + 1, hi + 1):
+        elif i > 1 and (x := links[i][c]) >= 0:
+            lo = max(lo, (w >> x * q & fill).bit_length() - 1)
+        for s in range(lo, hi + 1):
             if nodes >= limit:
                 return None, nodes, False
             nodes += 1
@@ -387,21 +388,20 @@ def _backtrack(
             if c + 1 < m:
                 state[p + 1] = (after, left1, left2, plane, table) if moved else cell
             elif p + 1 < total:
-                row = rowmask[i]
-                cols = [x << q | row >> t * q & fill for t, x in enumerate(columns[i - 1])]
-                key = 0
-                for x in sorted(cols):
-                    key = key << i * q | x
-                if key in refuted or (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
+                if (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
                     continue
-                columns[i], keys[i], state[p + 1] = cols, key, start
+                row, ids, link, last = rowmask[i], [], [], {}
+                for t, x in enumerate(classes[i - 1]):
+                    key = x << q | row >> t * q & fill
+                    link.append(a := last.get(key, -1))
+                    ids.append(t if a < 0 else ids[a])
+                    last[key] = t
+                classes[i], links[i + 1], state[p + 1] = ids, link, start
             agree.append(i)
             p += 1
             break
         else:
             rowmask[i] = w
-            if not c:
-                refuted.add(keys[i - 1])
             p -= 1
             if p < 0:
                 return None, nodes, True

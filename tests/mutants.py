@@ -33,8 +33,8 @@ SEARCH = "griesmer/search.py"
 MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     (
         SEARCH,
-        "        else:\n            rowmask[i] = w\n            if not c",
-        "        else:\n            if not c",
+        "        else:\n            rowmask[i] = w\n            p -= 1",
+        "        else:\n            p -= 1",
         ("tests/test_search.py::test_differential_grid[weight1]",),
         "a word backed out of keeps its cells, so the rows below it see stale budgets",
     ),
@@ -178,24 +178,55 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
         "x << q | row >> t * q & fill",
         "row >> t * q & fill",
         ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
-        "the refuted-state key holds only word i's own cells, so a state that differs from a "
-        "refuted one in the rows above it is pruned too: unsound",
+        "a word's classes hold the columns equal in its last row only, not in all rows above "
+        "it, so the class order sorts columns that differ higher up: unsound",
     ),
     (
         SEARCH,
         "x << q | row >> t * q & fill",
         "x | row >> t * q & fill",
         ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
-        "word i's cells land on the rows above it in the same q bits of each column, so states "
-        "that differ share a key: unsound",
+        "a column's class and its last row's cell share bits, so columns that differ in the "
+        "rows above can share a class: unsound",
     ),
     (
         SEARCH,
-        "for x in sorted(cols):",
-        "for x in cols:",
+        "elif i > 1 and (x := links[i][c]) >= 0:",
+        "elif i > 1 and (x := links[i][c]) >= m:",
         ("tests/test_search.py::test_node_limit_aborts_exactly",),
-        "the refuted-state key keeps the columns in place, so a state matches only itself, not "
-        "its column permutations: looser, caught by a pinned node total",
+        "no class order: looser, caught by a pinned node total",
+    ),
+    (
+        SEARCH,
+        "lo = max(lo, (w >> x * q & fill).bit_length() - 1)",
+        "lo = max(lo, (w >> x * q & fill).bit_length())",
+        ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
+        "word i's symbols must strictly increase within a class: unsound",
+    ),
+    (
+        SEARCH,
+        "elif i > 1 and (x := links[i][c]) >= 0:",
+        "elif i > 0 and (x := links[i][c]) >= 0:",
+        ("tests/test_search.py::test_differential_random[budget-83]",),
+        "the class order also binds word 1, all of whose columns share one class, so with its "
+        "nonincreasing order its tail is constant: unsound",
+    ),
+    (
+        SEARCH,
+        "key = x << q | row >> t * q & fill",
+        "key = x",
+        ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
+        "the classes are never refined by a completed word, so every word's whole tail must be "
+        "nondecreasing: unsound",
+    ),
+    (
+        SEARCH,
+        "lo = max(lo, (w >> x * q & fill).bit_length() - 1)",
+        "hi = min(hi, (w >> x * q & fill).bit_length() - 1)",
+        ("tests/test_search.py::test_three_prefix_instance_m3_feasible",),
+        "word i's symbols are nonincreasing within a class: sound, as sorting each class "
+        "descending keeps a solution, but the first solution found changes, so a witness pin "
+        "catches it",
     ),
 ]
 

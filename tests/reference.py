@@ -9,6 +9,9 @@ reductions: words in prefix order, tail columns left to right, symbols
 increasing, and one prune, the pairwise agreement limit.  It keeps no
 masks, no per-symbol lists and no precedence bound, so a fault in any
 of those moves the engine alone.  `naive_oracle` prunes nothing at all.
+`first_reduced_solution` walks whole tails in the engine's search order
+and returns the first solution that obeys the engine's two written
+symmetry rules, which is the witness the engine must report.
 """
 
 from itertools import product
@@ -81,17 +84,7 @@ def naive_oracle(ws, m, d):
         raise ValueError(f"tail length must be nonnegative, got {m}")
     if d < 1:
         raise ValueError(f"distance must be at least 1, got {d}")
-    r = len(ws.prefixes)
-    # multiply only until the power passes the guard, so a huge request
-    # is rejected without building its power
-    power = 1
-    for _ in range(m * (r - 1)):
-        power *= ws.q
-        if power > ORACLE_ASSIGNMENT_LIMIT:
-            raise GuardLimitError(
-                f"oracle would enumerate {ws.q}**{m * (r - 1)} assignments, "
-                f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"
-            )
+    _guard(ws.q, m * (len(ws.prefixes) - 1))
     prefixes = [w.symbols for w in ws.prefixes]
     fixed = (prefixes[0] + (0,) * m,)
     tail_space = list(product(range(ws.q), repeat=m))
@@ -101,6 +94,57 @@ def naive_oracle(ws, m, d):
         if _all_pairs_reach(fixed + words, d):
             return True
     return False
+
+
+def first_reduced_solution(ws, m, d):
+    """The first tails in the engine's search order that reach d and obey its symmetry rules, or None.
+
+    The order is lexicographic over word 1's tail, then word 2's, and so
+    on, each tail read left to right with symbols increasing; the zero
+    prefix keeps the zero tail.  The rules are value precedence (a
+    symbol is at most 1 + the largest above it in its column) and a
+    nonincreasing tail for word 1.  Returns the tails of all words,
+    the zero word's first, as lists.
+    """
+    _guard(ws.q, m * (len(ws.prefixes) - 1))
+    prefixes = [w.symbols for w in ws.prefixes]
+    tails = [(0,) * m]
+    candidates = list(product(range(ws.q), repeat=m))
+
+    def extend():
+        # True once every word has a tail; each word's candidates in order,
+        # so the first complete assignment found is the first in the order
+        i = len(tails)
+        if i == len(prefixes):
+            return True
+        for t in candidates:
+            if any(t[c] > 1 + max(u[c] for u in tails) for c in range(m)):
+                continue
+            if i == 1 and any(x < y for x, y in zip(t, t[1:])):
+                continue
+            word = prefixes[i] + t
+            if any(sum(x != y for x, y in zip(word, p + u)) < d for p, u in zip(prefixes, tails)):
+                continue
+            tails.append(t)
+            if extend():
+                return True
+            tails.pop()
+        return False
+
+    return [list(t) for t in tails] if extend() else None
+
+
+def _guard(q, cells):
+    # multiply only until the power passes the guard, so a huge request
+    # is rejected without building its power
+    power = 1
+    for _ in range(cells):
+        power *= q
+        if power > ORACLE_ASSIGNMENT_LIMIT:
+            raise GuardLimitError(
+                f"oracle would enumerate {q}**{cells} assignments, "
+                f"over the guard {ORACLE_ASSIGNMENT_LIMIT}"
+            )
 
 
 def _all_pairs_reach(words, d):

@@ -132,7 +132,7 @@ _WS3 = WitnessSet.from_strings(2, ["00", "01", "10"])
         ),
         (
             lambda: full_search(CodeParams(3, 4, 2, 3)),
-            '{"feasible":true,"exhausted":true,"nodes_explored":34,"witness":'
+            '{"feasible":true,"exhausted":true,"nodes_explored":31,"witness":'
             '["0000","0111","0222","1012","1120","1201","2021","2102","2210"]}',
         ),
         (

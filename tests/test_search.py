@@ -20,7 +20,7 @@ from griesmer.search import (
     tail_search,
 )
 from griesmer.theorems import verify, verify_all, witness_set_for
-from reference import naive_oracle, unreduced_dfs
+from reference import first_reduced_solution, naive_oracle, unreduced_dfs
 
 
 # node limit above each pinned count: a prune that loses a witness then
@@ -171,14 +171,14 @@ def test_witness_keeps_zero_tail_on_zero_prefix():
 
 
 def test_node_limit_aborts_exactly():
-    # the pre-check leaves this refutation to the DFS, which needs 58 nodes
+    # the pre-check leaves this refutation to the DFS, which needs 55 nodes
     ws = _ws(2, ["0000", "0101", "0110", "1011", "1100", "1110"])
     assert _precheck([w.symbols for w in ws.prefixes], 2, 3, 4)[1] is None
-    assert _dfs(ws, 3, 4) == (None, 58, True)
-    out = tail_search(ws, 3, 4, node_limit=57)
+    assert _dfs(ws, 3, 4) == (None, 55, True)
+    out = tail_search(ws, 3, 4, node_limit=54)
     assert not out.feasible
     assert not out.exhausted
-    assert out.nodes_explored == 57
+    assert out.nodes_explored == 54
     assert out.witness is None
 
 
@@ -224,9 +224,9 @@ def test_slack_table_serves_any_number_of_searches():
     slack, reason = _precheck(prefixes, 2, 14, 9)
     assert reason is None
     before = [row[:] for row in slack]
-    limit = 1254 + _PIN_MARGIN
+    limit = 1183 + _PIN_MARGIN
     first = _backtrack(slack, 2, 14, limit)
-    assert first[0] is not None and first[1:] == (1254, True)
+    assert first[0] is not None and first[1:] == (1183, True)
     assert slack == before
     assert _backtrack(slack, 2, 14, limit) == first
     assert slack == before
@@ -254,6 +254,19 @@ def test_naive_oracle_guard():
         naive_oracle(ws, 2, 0)
 
 
+def test_first_reduced_solution_examples():
+    assert first_reduced_solution(_ws(2, ["00", "01", "10"]), 2, 3) is None
+    assert first_reduced_solution(_ws(2, ["0", "1"]), 2, 3) == [[0, 0], [1, 1]]
+    # word 1's tail is nonincreasing, so 110 is its first tail, not 011
+    want = [[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    assert first_reduced_solution(_ws(2, ["00", "01", "10", "11"]), 3, 3) == want
+    # precedence lets word 2 put a 2 only where word 1 holds a 1
+    want = [[0, 0], [1, 1], [1, 2], [2, 2]]
+    assert first_reduced_solution(_ws(3, ["00", "01", "10", "02"]), 2, 3) == want
+    with pytest.raises(GuardLimitError):
+        first_reduced_solution(_ws(2, ["000", "001", "010", "011", "101"]), 7, 5)
+
+
 def test_reference_searches_are_not_in_the_package():
     # the reference searches live with the tests, outside the library API
     import griesmer
@@ -261,7 +274,7 @@ def test_reference_searches_are_not_in_the_package():
 
     assert "naive_oracle" not in griesmer.__all__
     assert not hasattr(griesmer, "naive_oracle")
-    for name in ("naive_oracle", "_all_pairs_reach", "ORACLE_ASSIGNMENT_LIMIT"):
+    for name in ("naive_oracle", "first_reduced_solution", "_all_pairs_reach", "ORACLE_ASSIGNMENT_LIMIT"):
         assert not hasattr(griesmer.search, name), name
 
 
@@ -309,12 +322,17 @@ _oracle = functools.cache(naive_oracle)
 
 
 def _differential_grid(cases, oracle_limit):
-    """Every case through _differential and, where q**(m * (r - 1)) <= oracle_limit, the oracle."""
+    """Every case through _differential and, where q**(m * (r - 1)) <= oracle_limit, the oracle.
+
+    Under the same limit the DFS's first solution, its witness, must be
+    the first reduced solution in its order: no prune may change it.
+    """
     nodes, oracle, kinds, verdicts = 0, 0, set(), set()
     for ws, m, d in cases:
         reason, explored, feasible = _differential(ws, m, d)
         if oracle_limit is not None and ws.q ** (m * (len(ws.prefixes) - 1)) <= oracle_limit:
             assert _oracle(ws, m, d) is feasible, (ws.prefixes, m, d)
+            assert _dfs(ws, m, d)[0] == first_reduced_solution(ws, m, d), (ws.prefixes, m, d)
             oracle += 1
         nodes += explored
         if reason is not None:
@@ -389,13 +407,13 @@ _GRIDS = {
     "precedence-q4-k2-r4-m2": (lambda: _distinct(4, [2], [4], [2], d_from=2, d_below=0), 3**9, {}),
     # binary, k <= 3, up to six prefixes: the three-word budget applies
     # wherever 3 <= r <= 2m, and a looser budget changes no verdict, only the nodes
-    "budget-q2-k3-r6-m5": (lambda: _distinct(2, [1, 2, 3], range(2, 7), range(6)), 2**10, {"nodes": 22236}),
+    "budget-q2-k3-r6-m5": (lambda: _distinct(2, [1, 2, 3], range(2, 7), range(6)), 2**10, {"nodes": 21604}),
     # with m = 1 no column is left after the one placed, so the propagation
-    # cannot fire; without the pigeonhole count these totals are 34,585 and
-    # 24,087, with the column wipe-out alone 36,421 and 24,087, and with no
-    # forward check 39,601 and 24,217
-    "propagation-q3-k2-r6-m4": (lambda: _distinct(3, [2], range(3, 7), range(2, 5)), 2**12, {"nodes": 34528}),
-    "propagation-q4-k2-r5-m3": (lambda: _distinct(4, [2], range(3, 6), range(2, 4)), 2**12, {"nodes": 24087}),
+    # cannot fire; without the pigeonhole count these totals are 30,935 and
+    # 23,382, with the column wipe-out alone 32,357 and 23,382, and with no
+    # forward check 34,457 and 23,512
+    "propagation-q3-k2-r6-m4": (lambda: _distinct(3, [2], range(3, 7), range(2, 5)), 2**12, {"nodes": 30887}),
+    "propagation-q4-k2-r5-m3": (lambda: _distinct(4, [2], range(3, 6), range(2, 4)), 2**12, {"nodes": 23382}),
     # for q = 2 the odd d bring the parity form
     "precheck-q2-k3-r5-m4": (
         lambda: _distinct(2, [3], range(2, 6), range(5)), 2**10, {"kinds": {"pair", "average", "parity"}}
@@ -403,15 +421,16 @@ _GRIDS = {
     "precheck-q3-k2-r4-m3": (
         lambda: _distinct(3, [2], range(2, 5), range(4)), 2**10, {"kinds": {"pair", "average"}}
     ),
-    # the DFS meets word states it has refuted, up to a column permutation, at
+    # word states that repeat a refuted one up to a column permutation arise at
     # words 2 to 5, in refutations at d = 5, 6 and feasible searches at d = 7, 8;
-    # without the refuted-state prune this total is 5,617,549
-    "refuted-states-q2-k3": (_refuted_state_cases, 2**12, {"nodes": 41457, "feasible": {False, True}}),
+    # the class order cuts each; with neither it nor a record of refuted states
+    # this total is 5,617,549, with the record instead of the order 41,457
+    "refuted-states-q2-k3": (_refuted_state_cases, 2**12, {"nodes": 23987, "feasible": {False, True}}),
     # every theorem family, refuted by the pair rule or the pre-check with 0 nodes
     "catalogue": (
         _catalogue_cases,
         3**9,
-        {"nodes": 389, "oracle": 15, "kinds": {"pair", "average", "parity"}, "feasible": {False}},
+        {"nodes": 206, "oracle": 15, "kinds": {"pair", "average", "parity"}, "feasible": {False}},
     ),
 }
 
@@ -508,9 +527,9 @@ def test_differential_random(draw, seed, count, oracle_limit):
     [
         # r > 2m: the gate keeps these wide searches on the pairwise budget
         (11, 8, 2, 895),
-        (12, 7, 3, 1331),
+        (12, 7, 3, 1330),
         # r = 32 <= 2m = 32
-        (21, 5, 9, 2364),
+        (21, 5, 9, 2324),
     ],
     ids=["q2-n11-k8-d2", "q2-n12-k7-d3", "q2-n21-k5-d9"],
 )
@@ -520,10 +539,10 @@ def test_shared_budget_gate(n, k, d, nodes):
 
 
 def test_shared_budget_decides_a_k5_control():
-    # the pairwise budget alone takes 297,507 nodes to a witness here
+    # the pairwise budget alone takes 77,827 nodes to a witness here
     out = full_search(CodeParams(q=2, n=26, k=5, d=12), node_limit=100_000)
     assert out.feasible and out.exhausted
-    assert out.nodes_explored == 5925
+    assert out.nodes_explored == 5786
     assert min_distance(out.witness) >= 12
     assert is_systematic(out.witness, 5)
 
@@ -643,7 +662,7 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
 @pytest.mark.parametrize(
     "q, n, k, d, nodes, witness",
     [
-        (2, 18, 4, 9, 1254, [
+        (2, 18, 4, 9, 1183, [
             "000000000000000000", "000111111111000000", "001000000011111111",
             "001100111100001111", "010001011100110011", "010101100101111100",
             "011011011010011100", "011111100010100011", "100010101110110101",
@@ -651,11 +670,11 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "110000111011101010", "110110000110001110", "111001101001000101",
             "111100010111010001",
         ]),
-        (2, 9, 3, 5, 201, None),
-        (3, 4, 2, 3, 34, _TETRACODE),
-        (5, 7, 2, 6, 75, None),
-        (3, 11, 2, 9, 1498, None),
-        (3, 16, 3, 10, 10732, [
+        (2, 9, 3, 5, 95, None),
+        (3, 4, 2, 3, 31, _TETRACODE),
+        (5, 7, 2, 6, 39, None),
+        (3, 11, 2, 9, 157, None),
+        (3, 16, 3, 10, 9615, [
             "0000000000000000", "0011111111110000", "0020000111121111",
             "0100000122212222", "0110011200011112", "0120111001102221",
             "0200111022220110", "0210012212202001", "0220102210020222",
@@ -666,19 +685,19 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "2100221111022200", "2111000211200210", "2121012100220101",
             "2201020002122211", "2211101102001022", "2221222010001110",
         ]),
-        (4, 7, 2, 5, 204, [
+        (4, 7, 2, 5, 200, [
             "0000000", "0111110", "0201221", "0302132", "1001312", "1100123",
             "1210011", "1311203", "2003233", "2102301", "2213102", "2310320",
             "3012022", "3120202", "3221030", "3322313",
         ]),
-        (4, 6, 2, 5, 40, None),
-        (4, 9, 2, 7, 108681, [
+        (4, 6, 2, 5, 25, None),
+        (4, 9, 2, 7, 108663, [
             "000000000", "011111110", "020122221", "030213332", "100231123",
             "111002232", "121310301", "132021011", "201123033", "212200313",
             "223031330", "232132102", "303322312", "313233001", "322303120",
             "333010223",
         ]),
-        (2, 16, 5, 8, 2025, [
+        (2, 16, 5, 8, 1244, [
             "0000000000000000", "0000111111110000", "0001000011110111",
             "0001101100011011", "0010001101101101", "0010110000111110",
             "0011010111001010", "0011111010000101", "0100010110011101",
@@ -691,13 +710,13 @@ _TETRACODE = ["0000", "0111", "0222", "1012", "1120", "1201", "2021", "2102", "2
             "1101110010010010", "1110010011100100", "1110111100001000",
             "1111000000001111", "1111111111111111",
         ]),
-        (2, 14, 4, 7, 710, [
+        (2, 14, 4, 7, 437, [
             "00000000000000", "00011111110000", "00100001110111", "00110110001011",
             "01000110111101", "01011000011110", "01101011101010", "01111101000101",
             "10001011001101", "10010101101110", "10101110010110", "10111000111001",
             "11001100100011", "11010011010011", "11100101011000", "11110010100100",
         ]),
-        (5, 10, 2, 8, 10721, [
+        (5, 10, 2, 8, 10689, [
             "0000000000", "0111111110", "0201222221", "0302133332", "0403314443",
             "1001441344", "1110022333", "1211303402", "1312210024", "1414434211",
             "2013043121", "2104204134", "2220011242", "2321124003", "2422242310",
