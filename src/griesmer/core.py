@@ -168,20 +168,19 @@ def distance(a: Word, b: Word) -> int:
 
 
 def one_hot(rows: Sequence[Sequence[int]], q: int) -> list[int]:
-    """Equal-length rows as bits: bit c * w + t is set where position c holds
-    the t-th distinct symbol down that position, with w = min(q, len(rows)).
-
-    Two such rows of length n agree exactly where they share a bit, so
-    their Hamming distance is n - popcount(a & b).  Numbering only the
-    symbols in use keeps the width at most the number of rows, however
-    large q is.
+    """Equal-length rows as bits: bit c * w + t, with w = min(q, len(rows)),
+    is set where position c holds the t-th distinct symbol down it, unless
+    no two rows agree there.  Two such rows of length n agree exactly where
+    they share a bit, so their Hamming distance is n - popcount(a & b), and
+    each takes at most n * w bits however large q is, none where all differ.
     """
     width = min(q, len(rows))
     bits = [0] * len(rows)
     for c, column in enumerate(zip(*rows)):
         number = {s: c * width + t for t, s in enumerate(dict.fromkeys(column))}
-        for j, s in enumerate(column):
-            bits[j] |= 1 << number[s]
+        if len(number) < len(column):
+            for j, s in enumerate(column):
+                bits[j] |= 1 << number[s]
     return bits
 
 

@@ -96,6 +96,10 @@ def _precheck(
     slack[i][j], for j < i, holds that value.  Returns (slack, reason),
     where reason is None when the search stays open, or else:
 
+    ("pair", i, j): slack[i][j], the first negative slack row by row, so
+    the pair ends below d whatever the tails.  The table then stops at
+    row i, so no caller may read it.
+
     ("average", need, capacity): Plotkin's averaging over the tail
     columns.  Pair (i, j) needs at least max(0, m - slack) tail columns
     in which it disagrees, so all pairs together need `need`
@@ -113,10 +117,11 @@ def _precheck(
     # slack = k - (prefix agreements) + m - d
     top = len(prefixes[0]) + m - d
     bits = one_hot(prefixes, q)
-    slack = [
-        [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))]
-        for i, p in enumerate(bits)
-    ]
+    slack: list[list[int]] = []
+    for i, p in enumerate(bits):
+        slack.append(row := [top - x for x in map(int.bit_count, map(p.__and__, islice(bits, i)))])
+        if min(row, default=0) < 0:
+            return slack, ("pair", i, next(j for j, x in enumerate(row) if x < 0))
     r = len(prefixes)
     a, b = divmod(r, q)
     column = (r * (r - 1) - b * (a + 1) * a - (q - b) * a * (a - 1)) // 2
@@ -445,19 +450,15 @@ def _start(
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
     """Decide whether length-m tails exist giving every prefix pair distance >= d.
 
-    A pair of prefixes at distance pd ends at distance at most pd + m, so
-    the search is refuted with no node when the prefixes' minimum distance
-    plus m is below d; distinct prefixes are at distance at least 1, so no
-    pair can block, and no distance is computed, when m + 1 >= d.
-    Otherwise, with q < r it runs the pre-check, then the DFS.  It re-checks
-    any witness.  node_limit caps the DFS's attempted symbol placements, the
-    only nodes counted.  The pair checks grow as the square of the prefixes
-    and the DFS's masks and the witness with the r * m tail symbols, so both
-    are guarded first.  No one-hot position takes more than r symbols.
-
-    With q >= r, word i gets the tail (i, ..., i): the r symbols exist,
-    and each pair then ends at pd + m, so every pair reaches d and no
-    node is explored.
+    With q < r it runs the pre-check, which also refutes a pair no tails
+    separate, then the DFS.  With q >= r, word i gets the tail (i, ..., i):
+    each pair then ends at pd + m, its most, so the search holds with no
+    node iff the prefixes' minimum distance, at least 1, plus m reaches d,
+    which needs no distance when m + 1 >= d.  It re-checks any witness.  node_limit caps the DFS's
+    attempted symbol placements, the only nodes counted.  The pair checks
+    grow as the square of the prefixes and the DFS's masks and the witness
+    with the r * m tail symbols, so both are guarded first.  No one-hot
+    position takes more than r symbols.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")
@@ -470,13 +471,12 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     guard_terms(r * m, "the tails would hold {} symbols")
     prefixes = [w.symbols for w in ws.prefixes]
     tails, nodes, exhausted = None, 0, True
-    if r < 2 or m + 1 >= d or min_distance(Code(ws.prefixes)) + m >= d:
-        if ws.q >= r:
-            tails = [[i] * m for i in range(r)]
-        else:
-            slack, reason = _precheck(prefixes, ws.q, m, d)
-            if reason is None:
-                tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
+    if ws.q < r:
+        slack, reason = _precheck(prefixes, ws.q, m, d)
+        if reason is None:
+            tails, nodes, exhausted = _backtrack(slack, ws.q, m, node_limit)
+    elif r < 2 or m + 1 >= d or min_distance(Code(ws.prefixes)) + m >= d:
+        tails = [[i] * m for i in range(r)]
     witness = None
     if tails is not None:
         witness = Code(Word(p + tuple(t), ws.q) for p, t in zip(prefixes, tails))

@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 120
 SEARCH = "griesmer/search.py"
+CORE = "griesmer/core.py"
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     (
@@ -138,8 +139,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "        if ws.q >= r:\n",
-        "        if ws.q >= r - 1:\n",
+        "    if ws.q < r:\n",
+        "    if ws.q < r - 1:\n",
         ("tests/test_search.py::test_differential_random[alphabet-43]",),
         "the construction also runs at q = r - 1, where word r - 1's tail symbol does not exist",
     ),
@@ -152,8 +153,9 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "    if r < 2 or m + 1 >= d or min_distance(",
-        "    if r < 2 or ws.q < r or m + 1 >= d or min_distance(",
+        "        if min(row, default=0) < 0:\n"
+        "            return slack, (\"pair\", i, next(j for j, x in enumerate(row) if x < 0))\n",
+        "",
         ("tests/test_search.py::test_differential_random[precheck-67]",),
         "the pair rule runs only at q >= r, so the DFS meets a negative slack and the re-check "
         "rejects its witness",
@@ -227,6 +229,25 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
         "word i's symbols are nonincreasing within a class: sound, as sorting each class "
         "descending keeps a solution, but the first solution found changes, so a witness pin "
         "catches it",
+    ),
+    (
+        SEARCH,
+        "if min(row, default=0) < 0:",
+        "if min(row, default=0) < -1:",
+        ("tests/test_search.py::test_differential_random[precheck-67]",),
+        "the pre-check's pair rule misses a pair that ends one short of d, so the DFS meets a "
+        "negative slack: unsound",
+    ),
+    (
+        CORE,
+        "        if len(number) < len(column):\n",
+        "        if len(number) < len(column) - 1:\n",
+        (
+            "tests/test_core.py::test_one_hot_gives_no_bit_where_no_two_rows_agree",
+            "tests/test_search.py::test_one_hot_distances_match_the_zip_definition",
+        ),
+        "one_hot also gives no bit to a position where exactly two rows agree, so their "
+        "distance reads one too high: unsound",
     ),
 ]
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance
+from griesmer.core import Code, CodeParams, Word, distance, is_systematic, min_distance, one_hot
 
 
 def _random_word(rng: random.Random, length: int, q: int) -> Word:
@@ -161,6 +161,21 @@ def test_min_distance_five_word_layout():
     )
     assert min_distance(code) == 4
     assert distance(Word.parse("010100111", 2), Word.parse("101100011", 2)) == 4
+
+
+def test_one_hot_gives_no_bit_where_no_two_rows_agree():
+    # positions 1 and 3 hold distinct symbols in every row, so no pair agrees
+    # there and they get no bit; the popcounts still give the zip distances
+    rows = [(0, 5, 1, 9), (0, 6, 2, 8), (1, 7, 1, 7)]
+    bits = one_hot(rows, 10)
+    width = 3
+    for c in (1, 3):
+        assert not any(b >> c * width & 0b111 for b in bits)
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        agree = (bits[i] & bits[j]).bit_count()
+        assert 4 - agree == sum(s != t for s, t in zip(rows[i], rows[j]))
+    # 4,096 words over a large alphabet that differ everywhere: no bit at all
+    assert one_hot([(s, s) for s in range(4096)], 10**9) == [0] * 4096
 
 
 def test_min_distance_needs_two_words():

@@ -40,10 +40,11 @@ def _dfs(ws, m, d, node_limit=None):
     """The DFS alone, on the pre-check's slack table but not its verdict.
 
     A negative slack is a pair that no tails separate, which the DFS
-    must not be given: it refutes here with 0 nodes, as in unreduced_dfs.
+    must not be given: the pre-check names it with its "pair" reason,
+    and this refutes with 0 nodes, as unreduced_dfs does.
     """
-    slack, _ = _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)
-    if any(x < 0 for row in slack for x in row):
+    slack, reason = _precheck([w.symbols for w in ws.prefixes], ws.q, m, d)
+    if reason is not None and reason[0] == "pair":
         return None, 0, True
     return _backtrack(slack, ws.q, m, node_limit)
 
@@ -133,7 +134,12 @@ def test_dfs_with_no_cell(r, m):
 
 def test_pair_rule_skips_the_precheck(monkeypatch):
     # with at least as many symbols as prefixes the minimum distance decides,
-    # with no slack table; with fewer, a pair no tails separate refutes first
+    # with no slack table; with fewer, the pre-check decides the pair rule
+    # and stops at the first row that holds a negative slack
+    ws = _all_prefixes(2, 12)
+    slack, reason = _precheck([w.symbols for w in ws.prefixes], 2, 0, 2)
+    assert reason == ("pair", 1, 0) and slack == [[], [-1]]
+
     def precheck(*args):
         raise AssertionError("the pre-check ran")
 
@@ -145,13 +151,15 @@ def test_pair_rule_skips_the_precheck(monkeypatch):
     out = tail_search(_ws(3, ["0", "1"]), 0, 2)
     assert not out.feasible and out.exhausted and out.nodes_explored == 0
     # q < r: all 4,096 binary 12-bit prefixes hold pairs at distance 1
-    out = tail_search(_all_prefixes(2, 12), 0, 2)
+    monkeypatch.undo()
+    out = tail_search(ws, 0, 2)
     assert not out.feasible and out.exhausted and out.nodes_explored == 0
 
 
 def test_pair_rule_reads_no_distance_when_m_covers_d(monkeypatch):
     # distinct prefixes are at distance at least 1, so at m + 1 >= d no pair
-    # can block, and the witness re-check is the only minimum distance taken
+    # can block, and the witness re-check is the only minimum distance taken;
+    # at q < r the pre-check's slack table decides the pair rule at any m
     calls = []
 
     def counted(code):
@@ -159,9 +167,11 @@ def test_pair_rule_reads_no_distance_when_m_covers_d(monkeypatch):
         return min_distance(code)
 
     monkeypatch.setattr("griesmer.search.min_distance", counted)
-    out = tail_search(_ws(2, ["00", "01", "10"]), 3, 3)
-    assert out.feasible
-    assert calls == [out.witness]
+    for texts, m, d in [(["00", "01", "10"], 3, 3), (["0000", "0011", "1100"], 2, 4)]:
+        calls.clear()
+        out = tail_search(_ws(2, texts), m, d)
+        assert out.feasible
+        assert calls == [out.witness]
 
 
 def test_witness_keeps_zero_tail_on_zero_prefix():
@@ -612,9 +622,15 @@ def test_one_hot_distances_match_the_zip_definition():
         code = Code(Word(w, q) for w in words)
         assert min_distance(code) == min(dist[a, b] for a, b in combinations(words, 2))
         m, d = rng.randint(0, 4), rng.randint(1, 6)
-        slack, _ = _precheck(words, q, m, d)
+        slack, reason = _precheck(words, q, m, d)
         want = [[m - d + dist[a, b] for b in words[:i]] for i, a in enumerate(words)]
-        assert slack == want, (words, m, d)
+        # the table stops at the first row holding a negative slack, which it names
+        assert slack == want[: len(slack)], (words, m, d)
+        negative = [(i, j) for i, row in enumerate(want) for j, x in enumerate(row) if x < 0]
+        if negative:
+            assert reason == ("pair", *negative[0]) and len(slack) == negative[0][0] + 1
+        else:
+            assert slack == want and (reason is None or reason[0] != "pair")
 
 
 def test_monotone_in_m():
