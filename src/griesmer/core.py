@@ -189,8 +189,8 @@ def min_distance(code: Code) -> int:
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two words")
     n = code.length
-    bits = one_hot([w.symbols for w in code], code.q)
-    # the most positions in which two distinct words agree; at most n - 1
+    # a word with no bit agrees with no other; most is the largest agreement of two, at most n - 1
+    bits = [b for b in one_hot([w.symbols for w in code], code.q) if b]
     most = 0
     for i, a in enumerate(bits[:-1]):
         most = max(most, max(map(int.bit_count, map(a.__and__, bits[i + 1 :]))))

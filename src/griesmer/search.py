@@ -157,26 +157,25 @@ def _backtrack(
     every other open column can still disagree with it.
 
     state[p] is word i's state in force at cell p, the tuple (mask,
-    budget1, budget2, planes, table).  mask holds the blocked cells, so
-    every budget prunes by one bit test: a spent budget sets rowmask[j]
-    for the pair (i, j), and rowmask[a] & rowmask[b], where word i would
-    agree with both, for a pair of rows (see triple).  The pigeonhole
-    count (see below) keeps its two sets' budget sums and six bit planes
-    of m*q bits in one integer, set 2 in the upper three.  Plane t of a
-    set holds the cells that at least t of its rows hold, so the planes
-    in which all free cells of a column lie add up to min(its minimum,
-    3).  A row joins a set when its budget falls to the set's bound, in
-    one saturating step on the planes; budgets only fall along a word,
-    so a set only grows.  table holds the three-word budgets' start
-    values (see triple).  An accepted placement writes state[p + 1],
-    state[p] plus the budgets it spends and the rows it moves into a
-    set, or state[p] itself if it moves neither.  One that completes
-    word i writes _start's state and the classes (see below) for word
-    i + 1, or is pruned if there is no state; word 1 meets only the zero
-    word, so its state[0], set before the loop, always exists.  Each
-    state[p], classes[i] and links[i] has one writer, a re-accept
-    overwrites it, and the search moves back only by exhausting a cell,
-    so nothing is undone.
+    budget1, budget2, planes, table, links).  mask holds the blocked
+    cells, so every budget prunes by one bit test: a spent budget sets
+    rowmask[j] for the pair (i, j), and rowmask[a] & rowmask[b], where
+    word i would agree with both, for a pair of rows (see triple).  The
+    pigeonhole count (see below) keeps its two sets' budget sums and six
+    bit planes of m*q bits in one integer, set 2 in the upper three.
+    Plane t of a set holds the cells that at least t of its rows hold,
+    so the planes in which all free cells of a column lie add up to
+    min(its minimum, 3).  A row joins a set when its budget falls to the
+    set's bound, in one saturating step on the planes; budgets only fall
+    along a word, so a set only grows.  table holds the three-word
+    budgets' start values (see triple).  An accepted placement writes
+    state[p + 1], state[p] plus the budgets it spends and the rows it
+    moves into a set, or state[p] itself if it moves neither.  One that
+    completes word i writes _start's state for word i + 1, or is pruned
+    if there is none; word 1 meets only the zero word, so its state[0],
+    set before the loop, always exists.  Each state[p] has one writer, a
+    re-accept overwrites it, and the search moves back only by
+    exhausting a cell, so nothing is undone.
 
     holders[c][s] lists the rows whose symbol in tail column c is s, so
     a placement reads only the budgets of the rows that agree.  At cell
@@ -193,11 +192,12 @@ def _backtrack(
     holders list is nonempty, by precedence 0..t with no gap, so the
     bound starts at q - 1 and drops until the symbol below it has a
     nonempty list; holders[c][0] holds the zero word, so with q = 2 it
-    never binds.  classes[i][c] is the first column of c's class in rows
-    1..i, which a completed word i refines from classes[i - 1];
-    links[i + 1][c] is the nearest column left of c in its class, or -1,
-    and the loop at (i, c) starts at word i's symbol there, so, as above
-    the precedence bound, no symbol below it is a node.  Soundness: an
+    never binds.  links[c] in word i's state is the nearest column left
+    of c in its class, or -1, and the loop at (i, c) starts at word i's
+    symbol there, so no symbol below it is a node.  Each placed word is
+    monotone along each class, so a class splits into runs of equal
+    symbols, and _start refines the links in one pass: a column keeps
+    its link only if the linked column holds its symbol.  Soundness: an
     alphabet bijection fixing 0, applied to one tail column, keeps every
     distance and the zero word's zero tail.  So relabel each column's
     nonzero symbols in order of first appearance down the column; the
@@ -274,7 +274,7 @@ def _backtrack(
     round is about 5q operations on m*q bits, plus a popcount per row
     agreeing with a forced cell whose slack is at most the decided
     columns; the count is about 3q + 7 on the 6*m*q-bit planes.  A
-    completed word costs a dict pass over its m columns.
+    completed word costs one pass over its m links.
     """
     r = len(slack)
     triple = q == 2 and r <= 2 * m
@@ -282,8 +282,8 @@ def _backtrack(
     low = sum(1 << c * q for c in range(m))
     rowmask = [low] + [0] * (r - 1)
     total = (r - 1) * m
-    # each cell's (mask, budget1, budget2, planes, table), written before it is read
-    state: list[tuple[int, int, int, int, list[list[int]]] | None] = [None] * total
+    # each cell's (mask, budget1, budget2, planes, table, links), written before it is read
+    state: list[tuple[int, int, int, int, list[list[int]], list[int]] | None] = [None] * total
     width = m * q
     half = 3 * width
     first = (1 << half) - 1
@@ -292,10 +292,9 @@ def _backtrack(
     rep = sum(1 << t * width for t in range(6))
     fill = (1 << q) - 1
     limit = sys.maxsize if node_limit is None else node_limit
-    classes, links = [[0] * m] * r, [range(-1, m - 1)] * r
     nodes = p = 0
     if total:
-        state[0] = _start(slack[1], rowmask, m, q, triple)
+        state[0] = _start(slack[1], rowmask, 0, range(-1, m - 1), m, q, triple)
     while p < total:
         i = 1 + p // m
         c = p % m
@@ -307,14 +306,14 @@ def _backtrack(
             col[prev].pop()
             w ^= 1 << c * q + prev
         cell = state[p]
-        mask, budget1, budget2, planes, table = cell
+        mask, budget1, budget2, planes, table, links = cell
         reach = c + 1
         lo, hi = prev + 1, q - 1
         while hi > 1 and not col[hi - 1]:
             hi -= 1
         if i == 1 and c > 0 and (x := (w >> (c - 1) * q).bit_length() - 1) < hi:
             hi = x
-        elif i > 1 and (x := links[i][c]) >= 0:
+        elif i > 1 and (x := links[c]) >= 0:
             lo = max(lo, (w >> x * q & fill).bit_length() - 1)
         for s in range(lo, hi + 1):
             if nodes >= limit:
@@ -391,17 +390,11 @@ def _backtrack(
                     continue
             rowmask[i] = w | 1 << c * q + s
             if c + 1 < m:
-                state[p + 1] = (after, left1, left2, plane, table) if moved else cell
+                state[p + 1] = (after, left1, left2, plane, table, links) if moved else cell
             elif p + 1 < total:
-                if (start := _start(slack[i + 1], rowmask, m, q, triple)) is None:
+                if (start := _start(slack[i + 1], rowmask, i, links, m, q, triple)) is None:
                     continue
-                row, ids, link, last = rowmask[i], [], [], {}
-                for t, x in enumerate(classes[i - 1]):
-                    key = x << q | row >> t * q & fill
-                    link.append(a := last.get(key, -1))
-                    ids.append(t if a < 0 else ids[a])
-                    last[key] = t
-                classes[i], links[i + 1], state[p + 1] = ids, link, start
+                state[p + 1] = start
             agree.append(i)
             p += 1
             break
@@ -415,14 +408,18 @@ def _backtrack(
 
 
 def _start(
-    slack_i: list[int], rowmask: list[int], m: int, q: int, triple: bool
-) -> tuple[int, int, int, int, list[list[int]]] | None:
-    """Word i's start state (see _backtrack) from its slack row, or None if no tail is left."""
+    slack_next: list[int], rowmask: list[int], i: int, links: Sequence[int],
+    m: int, q: int, triple: bool
+) -> tuple[int, int, int, int, list[list[int]], list[int]] | None:
+    """Word i + 1's state at its first cell (see _backtrack), or None if no tail is left.
+
+    i is the word just placed (0, the zero word, before word 1); links are its class links.
+    """
     mask = left1 = left2 = planes = 0
     table: list[list[int]] = []
-    width = m * q
+    width, fill = m * q, (1 << q) - 1
     spread = 1 | 1 << width
-    for b, x in enumerate(slack_i):
+    for b, x in enumerate(slack_next):
         if x <= 2:
             held = rowmask[b]
             left2 += x
@@ -434,17 +431,19 @@ def _start(
                 if not x:
                     mask |= held
         if triple:
-            row = []
+            table.append(row := [])
             for a in range(b):
                 both = rowmask[a] & rowmask[b]
-                e = (slack_i[a] + x - m + both.bit_count()) // 2
+                e = (slack_next[a] + x - m + both.bit_count()) // 2
                 if e < 0:
                     return None
                 if not e:
                     mask |= both
                 row.append(e)
-            table.append(row)
-    return mask, left1, left2, planes, table
+    # one pass, as each placed word is monotone along each class (see _backtrack)
+    cells = [rowmask[i] >> c * q & fill for c in range(m)]
+    refined = [a if a >= 0 and cells[a] == x else -1 for a, x in zip(links, cells)]
+    return mask, left1, left2, planes, table, refined
 
 
 def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -> SearchOutcome:
@@ -454,11 +453,11 @@ def tail_search(ws: WitnessSet, m: int, d: int, node_limit: int | None = None) -
     separate, then the DFS.  With q >= r, word i gets the tail (i, ..., i):
     each pair then ends at pd + m, its most, so the search holds with no
     node iff the prefixes' minimum distance, at least 1, plus m reaches d,
-    which needs no distance when m + 1 >= d.  It re-checks any witness.  node_limit caps the DFS's
+    which needs no distance when m + 1 >= d.  node_limit caps the DFS's
     attempted symbol placements, the only nodes counted.  The pair checks
     grow as the square of the prefixes and the DFS's masks and the witness
     with the r * m tail symbols, so both are guarded first.  No one-hot
-    position takes more than r symbols.
+    position takes more than r symbols.  It re-checks any witness.
     """
     if m < 0:
         raise ValueError(f"tail length must be nonnegative, got {m}")

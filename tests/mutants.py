@@ -177,24 +177,27 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "x << q | row >> t * q & fill",
-        "row >> t * q & fill",
+        "for a, x in zip(links, cells)]",
+        "for a, x in zip(range(-1, m - 1), cells)]",
         ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
-        "a word's classes hold the columns equal in its last row only, not in all rows above "
-        "it, so the class order sorts columns that differ higher up: unsound",
+        "a word's links are refined from the single class, not the links in force, so the "
+        "classes hold the columns equal in its last row only and the class order sorts "
+        "columns that differ higher up: unsound",
+    ),
+    # the entry that packed a column's class id beside its cell into one key is retired: no
+    # key is packed now, as _start refines each link by one symbol comparison
+    (
+        SEARCH,
+        "a if a >= 0 and cells[a] == x else -1",
+        "-1",
+        ("tests/test_search.py::test_node_limit_aborts_exactly",),
+        "a placed word drops every link, so no class order binds after word 1: looser, caught "
+        "by a pinned node total",
     ),
     (
         SEARCH,
-        "x << q | row >> t * q & fill",
-        "x | row >> t * q & fill",
-        ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
-        "a column's class and its last row's cell share bits, so columns that differ in the "
-        "rows above can share a class: unsound",
-    ),
-    (
-        SEARCH,
-        "elif i > 1 and (x := links[i][c]) >= 0:",
-        "elif i > 1 and (x := links[i][c]) >= m:",
+        "elif i > 1 and (x := links[c]) >= 0:",
+        "elif i > 1 and (x := links[c]) >= m:",
         ("tests/test_search.py::test_node_limit_aborts_exactly",),
         "no class order: looser, caught by a pinned node total",
     ),
@@ -207,19 +210,19 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...], str]] = [
     ),
     (
         SEARCH,
-        "elif i > 1 and (x := links[i][c]) >= 0:",
-        "elif i > 0 and (x := links[i][c]) >= 0:",
+        "elif i > 1 and (x := links[c]) >= 0:",
+        "elif i > 0 and (x := links[c]) >= 0:",
         ("tests/test_search.py::test_differential_random[budget-83]",),
         "the class order also binds word 1, all of whose columns share one class, so with its "
         "nonincreasing order its tail is constant: unsound",
     ),
     (
         SEARCH,
-        "key = x << q | row >> t * q & fill",
-        "key = x",
+        "a if a >= 0 and cells[a] == x else -1",
+        "a",
         ("tests/test_search.py::test_differential_grid[refuted-states-q2-k3]",),
-        "the classes are never refined by a completed word, so every word's whole tail must be "
-        "nondecreasing: unsound",
+        "a placed word keeps every link, so the classes are never refined and every later "
+        "word's whole tail must be nondecreasing: unsound",
     ),
     (
         SEARCH,

@@ -244,7 +244,7 @@ def test_search_tail_large_alphabet(cli_env, tmp_path, q):
 
 def test_search_tail_prefix_guard(cli_env, tmp_path):
     # the pre-check's pair table grows as the square of the prefixes; 4,096
-    # take most of a minute, so 60,000 would take hours
+    # take a few seconds and a 68 MB table, so 60,000 would need about 15 GB
     path = tmp_path / "wide.txt"
     path.write_text("2 16\n" + "".join(f"{x:016b}\n" for x in range(60_000)), encoding="utf-8")
     argv = ["search-tail", "--d", "3", "--tail-len", "10", "--prefixes", str(path)]

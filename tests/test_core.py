@@ -176,6 +176,12 @@ def test_one_hot_gives_no_bit_where_no_two_rows_agree():
         assert 4 - agree == sum(s != t for s, t in zip(rows[i], rows[j]))
     # 4,096 words over a large alphabet that differ everywhere: no bit at all
     assert one_hot([(s, s) for s in range(4096)], 10**9) == [0] * 4096
+    # so min_distance pairs no row there and gives n; where exactly one pair
+    # shares symbols, it gives that pair's zip distance
+    assert min_distance(Code(Word((s, s, s), 10**9) for s in range(4096))) == 3
+    shared = [(0, 1, 2, 3), (0, 4, 2, 5), (6, 7, 8, 9)]
+    assert min_distance(Code(Word(w, 10) for w in shared)) == 2
+    assert sum(s != t for s, t in zip(*shared[:2])) == 2
 
 
 def test_min_distance_needs_two_words():

@@ -14,6 +14,7 @@ from griesmer.search import (
     WitnessSet,
     _backtrack,
     _precheck,
+    _start,
     full_search,
     load_witness_set,
     parse_witness_set,
@@ -240,6 +241,24 @@ def test_slack_table_serves_any_number_of_searches():
     assert slack == before
     assert _backtrack(slack, 2, 14, limit) == first
     assert slack == before
+
+
+@pytest.mark.parametrize("q, n, k, d", [(2, 18, 4, 9), (3, 16, 3, 10), (4, 9, 2, 7)])
+def test_start_links_match_their_definition(q, n, k, d):
+    # _start's one-pass refinement holds only for rows that obey the class
+    # order, monotone along each class, as the DFS's first solution does
+    m = n - k
+    tails = _dfs(_all_prefixes(q, k), m, d, node_limit=200_000)[0]
+    assert tails is not None
+    rowmask = [sum(1 << c * q + s for c, s in enumerate(tail)) for tail in tails]
+    links = range(-1, m - 1)
+    for i in range(len(tails) - 1):
+        # a slack of m > 2 with every earlier word sets no budget
+        state = _start([m] * (i + 1), rowmask, i, links, m, q, False)
+        links = state[-1]
+        for c in range(m):
+            equal = [a for a in range(c) if all(tail[a] == tail[c] for tail in tails[: i + 1])]
+            assert links[c] == (equal[-1] if equal else -1), (i, c)
 
 
 def test_naive_oracle_examples():
